@@ -128,8 +128,8 @@ compresssmoke:
 
 # Sharded-dispatch smoke: work-stealing FIFO order, cross-shard
 # conservation laws and the S6 open-loop scaling drives, under the race
-# detector (the speedup bar is waived under -race; see
-# internal/bench/race_off.go).
+# detector (deterministic checks only; host throughput is measured by
+# BenchmarkScalingDispatch).
 scalesmoke:
 	go test -run 'Shard|Scaling' -race ./...
 

@@ -46,7 +46,7 @@ func main() {
 	// stream (here a differential against the verified blank baseline),
 	// the BitLinker-assembled frames go through the HWICAP, and the
 	// behavioural core is bound by configuration hash.
-	rep, err := sys.LoadModule("brightness")
+	rep, err := sys.LoadModuleOn(0, "brightness")
 	if err != nil {
 		log.Fatal(err)
 	}

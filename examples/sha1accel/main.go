@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := s32.LoadModule("sha1"); err != nil {
+	if _, err := s32.LoadModuleOn(0, "sha1"); err != nil {
 		fmt.Printf("32-bit system: %v\n", err)
 		fmt.Printf("  (as in the paper: the SHA-1 core exceeds the %d-CLB dynamic area)\n\n", s32.Region.CLBs())
 	}
@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := sys.LoadModule("sha1")
+	rep, err := sys.LoadModuleOn(0, "sha1")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func Sys64() *platform.System {
 }
 
 func mustLoad(s *platform.System, mod string) {
-	if _, err := s.LoadModule(mod); err != nil {
+	if _, err := s.LoadModuleOn(0, mod); err != nil {
 		panic(err)
 	}
 }

@@ -459,7 +459,7 @@ func (m *Manager) Load(name string) (sim.Time, error) {
 	if m.current == name && m.residentOK && !m.corrupted {
 		return 0, nil
 	}
-	return m.stream(e.assembled.Stream, false)
+	return m.stream(e.assembled.Stream, plan.StreamComplete)
 }
 
 // LoadDifferential loads the cached differential configuration for the
@@ -472,7 +472,7 @@ func (m *Manager) LoadDifferential(name, assumed string) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.stream(res.Stream, true)
+	return m.stream(res.Stream, plan.StreamDifferential)
 }
 
 // LoadPlanned executes a plan produced by plan.Planner. The safety gate of
@@ -493,61 +493,73 @@ func (m *Manager) LoadPlanned(p plan.Plan) (sim.Time, error) {
 // demoted to non-authoritative (partial region content), and ErrAborted is
 // returned. bytes reports the words actually streamed, complete or not.
 func (m *Manager) LoadPlannedAbortable(p plan.Plan, stop func() bool) (elapsed sim.Time, bytes int, err error) {
-	e, ok := m.modules[p.Module]
-	if !ok {
-		return 0, 0, fmt.Errorf("core: unknown module %s", p.Module)
+	words, err := m.resolve(p)
+	if err != nil {
+		return 0, 0, err
 	}
 	if stop != nil && stop() {
 		return 0, 0, ErrAborted
 	}
+	if p.Kind == plan.StreamNone {
+		return 0, 0, nil
+	}
+	return m.streamAbortable(words, p.Kind, stop)
+}
+
+// resolve is the §2.2 gate both load mechanisms pass through: it returns
+// the words a plan streams (none for a verified no-op), refusing with a
+// "hazard" event and without touching any port when a state-dependent plan
+// — no-op, differential or compressed differential — no longer matches the
+// authoritative resident state. Complete streams and complete-based
+// containers carry no configuration-memory references and need no gate.
+func (m *Manager) resolve(p plan.Plan) ([]uint32, error) {
+	e, ok := m.modules[p.Module]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown module %s", p.Module)
+	}
 	resident, authoritative := m.ResidentState()
+	stale := func(reason, what, want string) error {
+		if authoritative && resident == want {
+			return nil
+		}
+		m.event("hazard", reason)
+		return fmt.Errorf("core: stale plan: %s but resident state is %q (authoritative=%v)",
+			what, resident, authoritative)
+	}
 	switch p.Kind {
 	case plan.StreamNone:
-		if !authoritative || resident != p.Module {
-			m.event("hazard", "stale-noop")
-			return 0, 0, fmt.Errorf("core: stale plan: no-op for %s but resident state is %q (authoritative=%v)",
-				p.Module, resident, authoritative)
-		}
-		return 0, 0, nil
+		return nil, stale("stale-noop", "no-op for "+p.Module, p.Module)
+	case plan.StreamComplete:
+		return e.assembled.Stream.Words, nil
 	case plan.StreamDifferential:
-		if !authoritative || resident != p.From {
-			m.event("hazard", "stale-differential")
-			return 0, 0, fmt.Errorf("core: stale plan: differential %q -> %s but resident state is %q (authoritative=%v)",
-				p.From, p.Module, resident, authoritative)
+		if err := stale("stale-differential", fmt.Sprintf("differential %q -> %s", p.From, p.Module), p.From); err != nil {
+			return nil, err
 		}
 		res, err := m.differential(p.From, p.Module)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		return m.streamAbortable(res.Stream, true, stop)
-	case plan.StreamComplete:
-		return m.streamAbortable(e.assembled.Stream, false, stop)
+		return res.Stream.Words, nil
 	case plan.StreamCompressed:
-		z, err := m.planContainer(p, resident, authoritative)
+		var z *bitstream.Compressed
+		var err error
+		switch p.Base {
+		case plan.StreamComplete:
+			z, err = m.compressedFull(p.Module)
+		case plan.StreamDifferential:
+			if err := stale("stale-compressed", fmt.Sprintf("compressed differential %q -> %s", p.From, p.Module), p.From); err != nil {
+				return nil, err
+			}
+			z, err = m.compressedDiff(p.From, p.Module)
+		default:
+			return nil, fmt.Errorf("core: compressed plan with base %v", p.Base)
+		}
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		return m.streamCompressedAbortable(z, stop)
+		return z.Words, nil
 	}
-	return 0, 0, fmt.Errorf("core: unknown stream kind %v", p.Kind)
-}
-
-// planContainer resolves a compressed plan to its container, enforcing the
-// §2.2 gate for differential-based ones. Complete-based containers carry no
-// configuration-memory references and need no gate.
-func (m *Manager) planContainer(p plan.Plan, resident string, authoritative bool) (*bitstream.Compressed, error) {
-	switch p.Base {
-	case plan.StreamDifferential:
-		if !authoritative || resident != p.From {
-			m.event("hazard", "stale-compressed")
-			return nil, fmt.Errorf("core: stale plan: compressed differential %q -> %s but resident state is %q (authoritative=%v)",
-				p.From, p.Module, resident, authoritative)
-		}
-		return m.compressedDiff(p.From, p.Module)
-	case plan.StreamComplete:
-		return m.compressedFull(p.Module)
-	}
-	return nil, fmt.Errorf("core: compressed plan with base %v", p.Base)
+	return nil, fmt.Errorf("core: unknown stream kind %v", p.Kind)
 }
 
 // PendingLoad is one in-flight DMA load. The stream content is already
@@ -564,65 +576,23 @@ type PendingLoad struct {
 // Bytes reports the wire bytes the transfer moved.
 func (pl *PendingLoad) Bytes() int { return pl.bytes }
 
-// BeginPlanned starts a plan's stream on a dock DMA engine. The same §2.2
-// gates as LoadPlannedAbortable apply — a differential-based stream (plain
-// or compressed) is refused unless the plan's assumed from-state still
-// matches the authoritative resident state. The returned PendingLoad's port
-// window overlaps sibling engines' windows and CPU work; call FinishLoad
-// before using the loaded module. A configuration error is returned
-// immediately (the engine resets the loader) and demotes the resident
-// state, exactly like a CPU-path failure.
+// BeginPlanned starts a plan's stream on a dock DMA engine, behind the same
+// §2.2 gate as LoadPlannedAbortable (see resolve). The returned
+// PendingLoad's port window overlaps sibling engines' windows and CPU work;
+// call FinishLoad before using the loaded module. A configuration error is
+// returned immediately (the engine resets the loader) and demotes the
+// resident state, exactly like a CPU-path failure.
 func (m *Manager) BeginPlanned(p plan.Plan, eng *icap.DMA) (*PendingLoad, error) {
-	e, ok := m.modules[p.Module]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown module %s", p.Module)
+	words, err := m.resolve(p)
+	if err != nil {
+		return nil, err
 	}
-	resident, authoritative := m.ResidentState()
-	var words []uint32
-	compressed := false
-	switch p.Kind {
-	case plan.StreamNone:
-		if !authoritative || resident != p.Module {
-			m.event("hazard", "stale-noop")
-			return nil, fmt.Errorf("core: stale plan: no-op for %s but resident state is %q (authoritative=%v)",
-				p.Module, resident, authoritative)
-		}
+	if p.Kind == plan.StreamNone {
 		return &PendingLoad{Plan: p, none: true}, nil
-	case plan.StreamDifferential:
-		if !authoritative || resident != p.From {
-			m.event("hazard", "stale-differential")
-			return nil, fmt.Errorf("core: stale plan: differential %q -> %s but resident state is %q (authoritative=%v)",
-				p.From, p.Module, resident, authoritative)
-		}
-		res, err := m.differential(p.From, p.Module)
-		if err != nil {
-			return nil, err
-		}
-		words = res.Stream.Words
-	case plan.StreamComplete:
-		words = e.assembled.Stream.Words
-	case plan.StreamCompressed:
-		z, err := m.planContainer(p, resident, authoritative)
-		if err != nil {
-			return nil, err
-		}
-		words, compressed = z.Words, true
-	default:
-		return nil, fmt.Errorf("core: unknown stream kind %v", p.Kind)
 	}
-	start, done, err := eng.Begin(words, compressed)
-	m.loadCount++
+	start, done, err := eng.Begin(words, p.Kind == plan.StreamCompressed)
+	m.book(done-start, 4*len(words), m.kindCounter(p.Kind))
 	m.dmaLoads++
-	m.loadTime += done - start
-	m.bytesStreamed += uint64(4 * len(words))
-	switch {
-	case compressed:
-		m.compressedLoads++
-	case p.Kind == plan.StreamDifferential:
-		m.diffLoads++
-	default:
-		m.completeLoads++
-	}
 	if err != nil {
 		m.demote("dma-error")
 		return nil, fmt.Errorf("core: dma load of %s: %w", p.Module, err)
@@ -663,7 +633,27 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.stream(res.Stream, false)
+	return m.stream(res.Stream, plan.StreamComplete)
+}
+
+// book charges one load to the manager's counters: port time, wire bytes,
+// and the per-kind counter the load is reported under.
+func (m *Manager) book(elapsed sim.Time, bytes int, kind *uint64) {
+	m.loadCount++
+	m.loadTime += elapsed
+	m.bytesStreamed += uint64(bytes)
+	*kind++
+}
+
+// kindCounter returns the counter a stream of the given kind books under.
+func (m *Manager) kindCounter(kind plan.StreamKind) *uint64 {
+	switch kind {
+	case plan.StreamCompressed:
+		return &m.compressedLoads
+	case plan.StreamDifferential:
+		return &m.diffLoads
+	}
+	return &m.completeLoads
 }
 
 // abortCheckWords is how often an abortable stream polls its stop
@@ -671,33 +661,45 @@ func (m *Manager) LoadNaive(name string) (sim.Time, error) {
 // request preempts a speculative stream within microseconds of real time.
 const abortCheckWords = 256
 
-// stream drives the words through the HWICAP with CPU stores and checks the
-// completion status.
-func (m *Manager) stream(s *bitstream.Stream, differential bool) (sim.Time, error) {
-	t, _, err := m.streamAbortable(s, differential, nil)
+// stream drives an uncompressed stream through the HWICAP with CPU stores
+// and checks the completion status.
+func (m *Manager) stream(s *bitstream.Stream, kind plan.StreamKind) (sim.Time, error) {
+	t, _, err := m.streamAbortable(s.Words, kind, nil)
 	return t, err
 }
 
-// streamAbortable streams like stream, polling stop at chunk boundaries.
+// streamAbortable is the CPU load path: it stores the words into the
+// HWICAP write FIFO, polling stop at chunk boundaries, then spins on the
+// status register until the sequence completes. A compressed container
+// streams with the HWICAP's decoder front-end armed for the duration: wire
+// bytes are what software stored and what the byte counters book, while
+// the port time is bound by the decoded words the armed HWICAP charges per
+// expansion.
+//
 // An aborted stream resets the configuration logic (so the next load finds
-// the packet state machine at power-up, as a real HWICAP abort does),
-// counts the words it actually pushed, and leaves the resident state
-// non-authoritative: some frames may have been committed without a rebind.
-// The §2.2 hazard gate then refuses any differential against this region
-// until a complete load restores a verified state, so an abort can waste
-// stream bytes but can never corrupt an execution.
-func (m *Manager) streamAbortable(s *bitstream.Stream, differential bool, stop func() bool) (sim.Time, int, error) {
+// the packet state machine at power-up, as a real HWICAP abort does — the
+// reset also disarms the decoder), counts the words it actually pushed, and
+// leaves the resident state non-authoritative: some frames may have been
+// committed without a rebind. The §2.2 hazard gate then refuses any
+// differential against this region until a complete load restores a
+// verified state, so an abort can waste stream bytes but can never corrupt
+// an execution.
+func (m *Manager) streamAbortable(words []uint32, kind plan.StreamKind, stop func() bool) (sim.Time, int, error) {
+	compressed := kind == plan.StreamCompressed
+	if compressed && m.cfg.ICAP == nil {
+		return 0, 0, fmt.Errorf("core: compressed load without an HWICAP decoder front-end")
+	}
 	c := m.cfg.CPU
 	start := m.cfg.Kernel.Now()
-	for i, w := range s.Words {
+	if compressed {
+		m.cfg.ICAP.ArmDecoder()
+	}
+	for i, w := range words {
 		if stop != nil && i > 0 && i%abortCheckWords == 0 && stop() {
 			c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
 			c.Sync()
 			elapsed := m.cfg.Kernel.Now() - start
-			m.loadCount++
-			m.abortedLoads++
-			m.loadTime += elapsed
-			m.bytesStreamed += uint64(4 * i)
+			m.book(elapsed, 4*i, &m.abortedLoads)
 			m.demote("abort")
 			return elapsed, 4 * i, ErrAborted
 		}
@@ -710,80 +712,25 @@ func (m *Manager) streamAbortable(s *bitstream.Stream, differential bool, stop f
 		status = c.LW(m.cfg.ICAPBase + icap.RegStatus)
 		return status&(icap.StatDone|icap.StatError) != 0 && status&icap.StatBusy == 0
 	})
-	elapsed := m.cfg.Kernel.Now() - start
-	m.loadCount++
-	m.loadTime += elapsed
-	m.bytesStreamed += uint64(s.SizeBytes())
-	if differential {
-		m.diffLoads++
-	} else {
-		m.completeLoads++
+	if compressed {
+		if derr := m.cfg.ICAP.DisarmDecoder(); err == nil && derr != nil {
+			err = fmt.Errorf("core: compressed stream: %w", derr)
+		}
 	}
+	elapsed := m.cfg.Kernel.Now() - start
+	bytes := 4 * len(words)
+	m.book(elapsed, bytes, m.kindCounter(kind))
 	if err != nil {
 		// The sequence never completed: frames may have been committed
 		// without a rebind, so the tracked state is no longer trustworthy.
 		m.demote("stream-error")
-		return elapsed, s.SizeBytes(), err
+		return elapsed, bytes, err
 	}
 	if status&icap.StatError != 0 {
 		m.demote("config-error")
-		return elapsed, s.SizeBytes(), fmt.Errorf("core: configuration error reported by HWICAP")
+		return elapsed, bytes, fmt.Errorf("core: configuration error reported by HWICAP")
 	}
-	return elapsed, s.SizeBytes(), nil
-}
-
-// streamCompressedAbortable pushes a compressed container through the
-// HWICAP with the decoder front-end armed, polling stop at the same
-// 256-word FIFO-write boundaries as an uncompressed stream — an abort
-// resets the configuration logic (which also disarms the decoder), so the
-// abort-demote semantics are unchanged. Wire bytes are what software
-// streamed and what the byte counters book; the port time is bound by the
-// decoded words, which the armed HWICAP charges per expansion.
-func (m *Manager) streamCompressedAbortable(z *bitstream.Compressed, stop func() bool) (sim.Time, int, error) {
-	if m.cfg.ICAP == nil {
-		return 0, 0, fmt.Errorf("core: compressed load without an HWICAP decoder front-end")
-	}
-	c := m.cfg.CPU
-	start := m.cfg.Kernel.Now()
-	m.cfg.ICAP.ArmDecoder()
-	for i, w := range z.Words {
-		if stop != nil && i > 0 && i%abortCheckWords == 0 && stop() {
-			c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
-			c.Sync()
-			elapsed := m.cfg.Kernel.Now() - start
-			m.loadCount++
-			m.abortedLoads++
-			m.loadTime += elapsed
-			m.bytesStreamed += uint64(4 * i)
-			m.demote("abort")
-			return elapsed, 4 * i, ErrAborted
-		}
-		c.SW(m.cfg.ICAPBase+icap.RegWriteFIFO, w)
-	}
-	c.Sync()
-	var status uint32
-	err := c.Spin(32, func() bool {
-		status = c.LW(m.cfg.ICAPBase + icap.RegStatus)
-		return status&(icap.StatDone|icap.StatError) != 0 && status&icap.StatBusy == 0
-	})
-	derr := m.cfg.ICAP.DisarmDecoder()
-	elapsed := m.cfg.Kernel.Now() - start
-	m.loadCount++
-	m.loadTime += elapsed
-	m.bytesStreamed += uint64(z.SizeBytes())
-	m.compressedLoads++
-	if err == nil && derr != nil {
-		err = fmt.Errorf("core: compressed stream: %w", derr)
-	}
-	if err != nil {
-		m.demote("stream-error")
-		return elapsed, z.SizeBytes(), err
-	}
-	if status&icap.StatError != 0 {
-		m.demote("config-error")
-		return elapsed, z.SizeBytes(), fmt.Errorf("core: configuration error reported by HWICAP")
-	}
-	return elapsed, z.SizeBytes(), nil
+	return elapsed, bytes, nil
 }
 
 // rebind runs after every completed configuration sequence: it hashes the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bitlinker"
@@ -54,7 +55,7 @@ func rig(t *testing.T) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw
 	var bound hw.Core
 	mgr, err := NewManager(Config{
 		Device: dev, Region: region, ConfigMem: cm, Baseline: baseline,
-		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000,
+		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000, ICAP: hi,
 		Bind:   func(core hw.Core) { bound = core },
 		Kernel: k,
 	})
@@ -62,6 +63,41 @@ func rig(t *testing.T) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw
 		t.Fatal(err)
 	}
 	return mgr, cm, region, func() hw.Core { return bound }
+}
+
+// dockDMA returns a dock DMA engine feeding the manager's configuration
+// logic — the second load mechanism next to the rig's CPU/HWICAP path.
+func dockDMA(mgr *Manager) *icap.DMA {
+	return icap.NewDMA(mgr.cfg.Kernel, sim.NewClock("bus", 50_000_000), mgr.cfg.Loader)
+}
+
+// requireRefused sends a stale plan through both load mechanisms — CPU
+// stores (LoadPlanned) and the dock DMA engine (BeginPlanned) — and fails
+// unless each refuses it at the §2.2 gate with no port traffic: the
+// manager's load counters and the engine's transfer count stay put.
+func requireRefused(t *testing.T, mgr *Manager, eng *icap.DMA, p plan.Plan) {
+	t.Helper()
+	paths := []struct {
+		name string
+		load func() error
+	}{
+		{"LoadPlanned", func() error { _, err := mgr.LoadPlanned(p); return err }},
+		{"BeginPlanned", func() error { _, err := mgr.BeginPlanned(p, eng); return err }},
+	}
+	for _, lp := range paths {
+		loads, total, bytes := mgr.Stats()
+		transfers, _ := eng.Stats()
+		if err := lp.load(); err == nil || !strings.Contains(err.Error(), "stale plan") {
+			t.Fatalf("%s: stale %v plan %+v not refused by the gate (err %v)", lp.name, p.Kind, p, err)
+		}
+		if l2, t2, b2 := mgr.Stats(); l2 != loads || t2 != total || b2 != bytes {
+			t.Fatalf("%s: stale %v plan touched the ICAP: loads %d->%d time %v->%v bytes %d->%d",
+				lp.name, p.Kind, loads, l2, total, t2, bytes, b2)
+		}
+		if tr2, _ := eng.Stats(); tr2 != transfers {
+			t.Fatalf("%s: stale %v plan reached the DMA engine: transfers %d->%d", lp.name, p.Kind, transfers, tr2)
+		}
+	}
 }
 
 func testComponent(name string, region fabric.Region) *bitlinker.Component {
@@ -240,7 +276,7 @@ func rigWithState(t *testing.T, cm *fabric.ConfigMemory) (*Manager, *fabric.Conf
 	var bound hw.Core
 	mgr, err := NewManager(Config{
 		Device: dev, Region: region, ConfigMem: cm, Baseline: baseline,
-		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000,
+		Assembler: asm, Loader: loader, CPU: c, ICAPBase: 0x4100_0000, ICAP: hi,
 		Bind:   func(core hw.Core) { bound = core },
 		Kernel: k,
 	})
@@ -327,15 +363,18 @@ func TestPlannedLoadHazardGate(t *testing.T) {
 	if _, err := mgr.Load("gamma"); err != nil {
 		t.Fatal(err)
 	}
-	loads, _, bytes := mgr.Stats()
-	if _, err := mgr.LoadPlanned(p); err == nil {
-		t.Fatal("stale differential plan was issued")
-	}
-	if l2, _, b2 := mgr.Stats(); l2 != loads || b2 != bytes {
-		t.Fatalf("stale plan touched the ICAP: loads %d->%d bytes %d->%d", loads, l2, bytes, b2)
-	}
-	if cur := mgr.Current(); cur != "gamma" {
-		t.Fatalf("region binds %q after refused plan, want gamma", cur)
+	// Every state-dependent plan assuming alpha is now stale, whichever
+	// mechanism would stream it.
+	eng := dockDMA(mgr)
+	for _, stale := range []plan.Plan{
+		p,
+		{Module: "beta", From: "alpha", Kind: plan.StreamCompressed, Base: plan.StreamDifferential},
+		{Module: "alpha", From: "alpha", Kind: plan.StreamNone},
+	} {
+		requireRefused(t, mgr, eng, stale)
+		if cur := mgr.Current(); cur != "gamma" {
+			t.Fatalf("region binds %q after refused %v plan, want gamma", cur, stale.Kind)
+		}
 	}
 	// Re-planning against the current state succeeds and loads.
 	resident, ok = mgr.ResidentState()
@@ -402,7 +441,5 @@ func TestStaleNoOpPlanRefused(t *testing.T) {
 	if _, err := mgr.Load("beta"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.LoadPlanned(p); err == nil {
-		t.Fatal("stale no-op plan accepted while beta is resident")
-	}
+	requireRefused(t, mgr, dockDMA(mgr), p)
 }

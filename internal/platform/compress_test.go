@@ -19,7 +19,7 @@ func TestCompressedLoadEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	first, err := s.LoadModule("brightness")
+	first, err := s.LoadModuleOn(0, "brightness")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCompressedLoadEndToEnd(t *testing.T) {
 	}
 	// A module-to-module swap decodes against the live region content (the
 	// KEEP ops copy resident frames) and must still verify end-to-end.
-	swap, err := s.LoadModule("blend")
+	swap, err := s.LoadModuleOn(0, "blend")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCompressedObserveUnskewed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	first, err := s.LoadModule("brightness")
+	first, err := s.LoadModuleOn(0, "brightness")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCompressedObserveUnskewed(t *testing.T) {
 	}
 	// The first observation sets the rate exactly, so the next plan's
 	// estimate is fully determined by what Observe was fed.
-	p, err := s.PlanFor("blend")
+	p, err := s.PlanForOn(0, "blend")
 	if err != nil {
 		t.Fatal(err)
 	}

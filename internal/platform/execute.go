@@ -65,16 +65,12 @@ type ExecReport struct {
 // Latency is the simulated time the request occupied the system.
 func (r ExecReport) Latency() sim.Time { return r.Config + r.Work }
 
-// Resident returns the name of the module currently configured in region 0
-// — "" when blank, corrupted, or when the tracked state is not
+// ResidentOn returns the name of the module currently configured in the
+// given region — "" when blank, corrupted, or when the tracked state is not
 // authoritative (e.g. after an aborted speculative stream left partial
 // region content), so callers can treat it as a bitstream-cache key.
 // Unlike Mgr.Current it is safe to call while another goroutine is inside
-// Execute.
-func (s *System) Resident() string { return s.ResidentOn(0) }
-
-// ResidentOn returns the authoritative resident module of the given
-// region, under the same contract as Resident.
+// ExecuteOn.
 func (s *System) ResidentOn(ri int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,8 +137,8 @@ type RegionStatus struct {
 }
 
 // Status reports the resident module and manager statistics under the
-// system lock, so it is safe while another goroutine is inside Execute.
-// Resident follows the same authoritative-only contract as Resident():
+// system lock, so it is safe while another goroutine is inside ExecuteOn.
+// Resident follows the same authoritative-only contract as ResidentOn:
 // after an aborted speculative stream the region content is partial, so
 // no module is reported.
 func (s *System) Status() Status {
@@ -229,15 +225,9 @@ func (s *System) SetCompression(on bool) {
 	}
 }
 
-// PlanFor returns the stream region 0 would issue right now to make the
-// module resident, without loading anything.
-func (s *System) PlanFor(module string) (plan.Plan, error) {
-	return s.PlanForOn(0, module)
-}
-
 // PlanForOn returns the stream the given region would issue right now to
 // make the module resident, without loading anything. Safe to call while
-// another goroutine is inside Execute; cost-aware schedulers use it to
+// another goroutine is inside ExecuteOn; cost-aware schedulers use it to
 // compare idle (member, region) pairs.
 func (s *System) PlanForOn(ri int, module string) (plan.Plan, error) {
 	s.mu.Lock()
@@ -257,21 +247,27 @@ func (s *System) planFor(rs *regionSlot, module string, usePlanner bool) (plan.P
 	return rs.planner.Plan(resident, authoritative, module)
 }
 
-// loadWith plans and executes one reconfiguration of the slot's region.
-// Must run under the system lock (or on a single-threaded system):
-// planning and loading are one atomic step, so the plan's assumed
+// loadWith plans and executes one reconfiguration of the slot's region,
+// polling stop (nil for a load that cannot be cancelled) at safe stream
+// boundaries. Must run under the system lock (or on a single-threaded
+// system): planning and loading are one atomic step, so the plan's assumed
 // from-state cannot go stale between the choice and the stream — the
-// manager still re-verifies it.
-func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool) (ConfigReport, error) {
-	at := s.K.Now()
+// manager still re-verifies it. An aborted load reports Aborted with the
+// bytes actually pushed and returns core.ErrAborted.
+func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool, stop func() bool) (ConfigReport, error) {
+	r := ConfigReport{Module: name, Region: rs.area.R.Name, At: s.K.Now()}
+	if stop != nil && stop() {
+		r.Aborted = true
+		return r, core.ErrAborted
+	}
 	p, err := s.planFor(rs, name, usePlanner)
 	if err != nil {
-		return ConfigReport{Module: name, Region: rs.area.R.Name, At: at}, err
+		return r, err
 	}
-	t, err := rs.mgr.LoadPlanned(p)
-	r := ConfigReport{Module: name, Region: rs.area.R.Name,
-		Kind: p.Kind, Bytes: p.Bytes, Frames: p.Frames, Time: t, At: at}
+	t, bytes, err := rs.mgr.LoadPlannedAbortable(p, stop)
+	r.Kind, r.Bytes, r.Frames, r.Time = p.Kind, bytes, p.Frames, t
 	if err != nil {
+		r.Aborted = errors.Is(err, core.ErrAborted)
 		return r, err
 	}
 	if rs.mgr.Current() != name {
@@ -285,11 +281,6 @@ func (s *System) loadWith(rs *regionSlot, name string, usePlanner bool) (ConfigR
 		rs.planner.Observe(p.Raw, t)
 	}
 	return r, nil
-}
-
-// RestoreEstimate returns region 0's state-independent restore estimate.
-func (s *System) RestoreEstimate(module string) (int, error) {
-	return s.RestoreEstimateOn(0, module)
 }
 
 // RestoreEstimateOn returns the planner's state-independent estimate, in
@@ -309,11 +300,6 @@ func (s *System) RestoreEstimateOn(ri int, module string) (int, error) {
 	return s.regions[ri].planner.RestoreBytes(module)
 }
 
-// LoadSpeculative speculatively configures region 0; see LoadSpeculativeOn.
-func (s *System) LoadSpeculative(name string, stop func() bool) (ConfigReport, error) {
-	return s.LoadSpeculativeOn(0, name, stop)
-}
-
 // LoadSpeculativeOn brings a module into the given region ahead of any
 // request — the prefetch half of overlapping reconfiguration with
 // computation. It plans like LoadModuleOn but issues the stream through
@@ -330,38 +316,7 @@ func (s *System) LoadSpeculativeOn(ri int, name string, stop func() bool) (Confi
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	at := s.K.Now()
-	if stop != nil && stop() {
-		return ConfigReport{Module: name, Region: rs.area.R.Name, Aborted: true, At: at}, core.ErrAborted
-	}
-	p, err := s.planFor(rs, name, rs.planning)
-	if err != nil {
-		return ConfigReport{Module: name, Region: rs.area.R.Name, At: at}, err
-	}
-	t, bytes, err := rs.mgr.LoadPlannedAbortable(p, stop)
-	r := ConfigReport{Module: name, Region: rs.area.R.Name,
-		Kind: p.Kind, Bytes: bytes, Frames: p.Frames, Time: t, At: at}
-	if errors.Is(err, core.ErrAborted) {
-		r.Aborted = true
-		return r, err
-	}
-	if err != nil {
-		return r, err
-	}
-	if rs.mgr.Current() != name {
-		return r, fmt.Errorf("platform: after speculative load of %s region %s binds %q",
-			name, rs.area.R.Name, rs.mgr.Current())
-	}
-	if p.Kind != plan.StreamNone {
-		// Completed loads calibrate on decoded bytes (see loadWith).
-		rs.planner.Observe(p.Raw, t)
-	}
-	return r, nil
-}
-
-// Execute runs the module on region 0; see ExecuteOn.
-func (s *System) Execute(module string, fn func() error) (ExecReport, error) {
-	return s.ExecuteOn(0, module, fn)
+	return s.loadWith(rs, name, rs.planning, stop)
 }
 
 // ExecuteOn reconfigures the given region with the named module (planner
@@ -377,7 +332,7 @@ func (s *System) ExecuteOn(ri int, module string, fn func() error) (ExecReport, 
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
 	s.active = ri
-	cfg, err := s.loadWith(rs, module, rs.planning)
+	cfg, err := s.loadWith(rs, module, rs.planning, nil)
 	r := ExecReport{
 		Module: module,
 		Region: rs.area.R.Name,

@@ -10,28 +10,28 @@ func TestExecuteCacheHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Resident(); got != "" {
+	if got := s.ResidentOn(0); got != "" {
 		t.Fatalf("fresh system resident = %q, want blank", got)
 	}
 	if !s.Supports("fade") || s.Supports("sha1") {
 		t.Fatalf("Sys32 support: fade=%v sha1=%v, want true/false",
 			s.Supports("fade"), s.Supports("sha1"))
 	}
-	miss, err := s.Execute("fade", func() error { return nil })
+	miss, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if miss.CacheHit || miss.Config == 0 {
 		t.Fatalf("first load: hit=%v config=%v, want miss with nonzero config", miss.CacheHit, miss.Config)
 	}
-	hit, err := s.Execute("fade", func() error { return nil })
+	hit, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit.CacheHit || hit.Config != 0 {
 		t.Fatalf("reload: hit=%v config=%v, want hit with zero config", hit.CacheHit, hit.Config)
 	}
-	if got := s.Resident(); got != "fade" {
+	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("resident = %q, want fade", got)
 	}
 }
@@ -49,8 +49,8 @@ func TestExecuteSerializes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := s.Execute(mods[i%len(mods)], func() error {
-				_ = s.Resident // no nested Resident: the lock is held
+			_, err := s.ExecuteOn(0, mods[i%len(mods)], func() error {
+				_ = s.ResidentOn // no nested ResidentOn: the lock is held
 				s.CPU.Op(100)
 				return nil
 			})

@@ -78,7 +78,7 @@ func TestModuleLoadBindsCore(t *testing.T) {
 		t.Errorf("config time %v outside the plausible HWICAP range", rep.Time)
 	}
 	// Loading the same module again is free.
-	again, err := s.LoadModule("passthrough")
+	again, err := s.LoadModuleOn(0, "passthrough")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPlannedLoadUsesDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.LoadModule("brightness")
+	first, err := s.LoadModuleOn(0, "brightness")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPlannedLoadUsesDifferential(t *testing.T) {
 	if s.Mgr.Current() != "brightness" {
 		t.Fatalf("bound %q after planned load", s.Mgr.Current())
 	}
-	swap, err := s.LoadModule("blend")
+	swap, err := s.LoadModuleOn(0, "blend")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPlannedLoadUsesDifferential(t *testing.T) {
 	}
 	// With planning disabled the same swap pays the complete stream.
 	s.SetPlanning(false)
-	back, err := s.LoadModule("brightness")
+	back, err := s.LoadModuleOn(0, "brightness")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDockRoundTripThroughCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("passthrough"); err != nil {
+	if _, err := s.LoadModuleOn(0, "passthrough"); err != nil {
 		t.Fatal(err)
 	}
 	s.CPU.SW(s.DockData(), 0xDEAD0001)
@@ -151,13 +151,13 @@ func TestModuleSwapRebinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("jenkins"); err != nil {
+	if _, err := s.LoadModuleOn(0, "jenkins"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Mgr.Current() != "jenkins" {
 		t.Fatal("jenkins not current")
 	}
-	if _, err := s.LoadModule("brightness"); err != nil {
+	if _, err := s.LoadModuleOn(0, "brightness"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Mgr.Current() != "brightness" {
@@ -180,7 +180,7 @@ func TestDifferentialHazardEndToEnd(t *testing.T) {
 	// Load fade (complete). Then load a differential stream for blend that
 	// assumes the region is blank — stale fade frames survive and the
 	// region binds the broken core.
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Mgr.LoadDifferential("blend", ""); err != nil {
@@ -197,7 +197,7 @@ func TestDifferentialHazardEndToEnd(t *testing.T) {
 		t.Fatal("core is not the broken model")
 	}
 	// Recovery: a complete configuration fixes the region.
-	if _, err := s.LoadModule("blend"); err != nil {
+	if _, err := s.LoadModuleOn(0, "blend"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Mgr.Current() != "blend" {
@@ -260,13 +260,13 @@ func TestSys64ModuleLoadAndDock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("sha1"); err != nil {
+	if _, err := s.LoadModuleOn(0, "sha1"); err != nil {
 		t.Fatalf("sha1 must fit the 64-bit system: %v", err)
 	}
 	if s.Core().Name() != "sha1" {
 		t.Fatal("sha1 not bound")
 	}
-	if _, err := s.LoadModule("passthrough"); err != nil {
+	if _, err := s.LoadModuleOn(0, "passthrough"); err != nil {
 		t.Fatal(err)
 	}
 	s.CPU.SW(s.DockData(), 0x1234)

@@ -16,17 +16,17 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.LoadSpeculative("fade", func() bool { return false })
+	rep, err := s.LoadSpeculativeOn(0, "fade", func() bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Aborted || rep.Kind == plan.StreamNone || rep.Bytes == 0 || rep.Time == 0 {
 		t.Fatalf("speculative report %+v, want a real stream", rep)
 	}
-	if got := s.Resident(); got != "fade" {
+	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("resident %q after speculative load, want fade", got)
 	}
-	er, err := s.Execute("fade", func() error { return nil })
+	er, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,20 +37,20 @@ func TestSpeculativeLoadThenHit(t *testing.T) {
 
 // TestSpeculativeAbortForcesCompleteReload aborts a speculative stream
 // mid-flight and checks the safety chain end to end at the platform layer:
-// Resident() stops naming the stale module, the next Execute streams a
+// ResidentOn stops naming the stale module, the next ExecuteOn streams a
 // complete configuration, and the static design stays intact.
 func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	s, err := NewSys32()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade"); err != nil {
 		t.Fatal(err)
 	}
-	// The first two polls are the entry checks of LoadSpeculative and
+	// The first two polls are the entry checks of LoadSpeculativeOn and
 	// LoadPlannedAbortable; the third is the first in-stream boundary.
 	polls := 0
-	rep, err := s.LoadSpeculative("blend", func() bool {
+	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool {
 		polls++
 		return polls >= 3
 	})
@@ -60,7 +60,7 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 	if !rep.Aborted || rep.Bytes <= 0 {
 		t.Fatalf("abort report %+v, want partial bytes", rep)
 	}
-	if got := s.Resident(); got != "" {
+	if got := s.ResidentOn(0); got != "" {
 		t.Fatalf("Resident() = %q after abort, want \"\" (non-authoritative)", got)
 	}
 	st := s.Status()
@@ -68,15 +68,15 @@ func TestSpeculativeAbortForcesCompleteReload(t *testing.T) {
 		t.Fatalf("status aborted loads = %d, want 1", st.AbortedLoads)
 	}
 
-	er, err := s.Execute("blend", func() error { return nil })
+	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if er.CacheHit || er.Kind != plan.StreamComplete {
 		t.Fatalf("post-abort execute report %+v, want a complete-stream miss", er)
 	}
-	if s.Resident() != "blend" || s.Status().Corrupted {
-		t.Fatalf("recovery failed: resident %q corrupted=%v", s.Resident(), s.Status().Corrupted)
+	if s.ResidentOn(0) != "blend" || s.Status().Corrupted {
+		t.Fatalf("recovery failed: resident %q corrupted=%v", s.ResidentOn(0), s.Status().Corrupted)
 	}
 }
 
@@ -88,17 +88,17 @@ func TestSpeculativeAbortBeforeStartIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.LoadSpeculative("blend", func() bool { return true })
+	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool { return true })
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("err = %v, want core.ErrAborted", err)
 	}
 	if rep.Bytes != 0 || !rep.Aborted {
 		t.Fatalf("report %+v, want clean zero-byte abort", rep)
 	}
-	if got := s.Resident(); got != "fade" {
+	if got := s.ResidentOn(0); got != "fade" {
 		t.Fatalf("Resident() = %q, want fade untouched", got)
 	}
 }
@@ -113,12 +113,12 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainRestore, err := s.RestoreEstimate("fade")
+	plainRestore, err := s.RestoreEstimateOn(0, "fade")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	zRestore, err := s.RestoreEstimate("fade")
+	zRestore, err := s.RestoreEstimateOn(0, "fade")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 		t.Fatalf("compressed restore estimate %d B, want < plain %d B (profit gate must price wire bytes)",
 			zRestore, plainRestore)
 	}
-	rep, err := s.LoadSpeculative("fade", func() bool { return false })
+	rep, err := s.LoadSpeculativeOn(0, "fade", func() bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 	if rep.Bytes != zRestore {
 		t.Fatalf("speculative stream %d B, restore estimate priced %d B", rep.Bytes, zRestore)
 	}
-	er, err := s.Execute("fade", func() error { return nil })
+	er, err := s.ExecuteOn(0, "fade", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSpeculativeCompressedStream(t *testing.T) {
 
 // TestSpeculativeCompressedAbort runs the abort safety chain with
 // compression on: the demote-to-non-authoritative discipline is identical
-// (Resident clears, the recovery stream is complete-based — here its
+// (ResidentOn clears, the recovery stream is complete-based — here its
 // compressed container) and the region recovers uncorrupted.
 func TestSpeculativeCompressedAbort(t *testing.T) {
 	s, err := NewSys32()
@@ -155,11 +155,11 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCompression(true)
-	if _, err := s.LoadModule("fade"); err != nil {
+	if _, err := s.LoadModuleOn(0, "fade"); err != nil {
 		t.Fatal(err)
 	}
 	polls := 0
-	rep, err := s.LoadSpeculative("blend", func() bool {
+	rep, err := s.LoadSpeculativeOn(0, "blend", func() bool {
 		polls++
 		return polls >= 3
 	})
@@ -169,10 +169,10 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if !rep.Aborted || rep.Bytes <= 0 {
 		t.Fatalf("abort report %+v, want partial bytes", rep)
 	}
-	if got := s.Resident(); got != "" {
+	if got := s.ResidentOn(0); got != "" {
 		t.Fatalf("Resident() = %q after abort, want \"\" (non-authoritative)", got)
 	}
-	er, err := s.Execute("blend", func() error { return nil })
+	er, err := s.ExecuteOn(0, "blend", func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSpeculativeCompressedAbort(t *testing.T) {
 	if er.Kind != plan.StreamCompressed && er.Kind != plan.StreamComplete {
 		t.Fatalf("post-abort stream kind %v, want a complete-based stream", er.Kind)
 	}
-	if s.Resident() != "blend" || s.Status().Corrupted {
-		t.Fatalf("recovery failed: resident %q corrupted=%v", s.Resident(), s.Status().Corrupted)
+	if s.ResidentOn(0) != "blend" || s.Status().Corrupted {
+		t.Fatalf("recovery failed: resident %q corrupted=%v", s.ResidentOn(0), s.Status().Corrupted)
 	}
 }

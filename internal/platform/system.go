@@ -108,7 +108,7 @@ type System struct {
 
 	// mu serializes simulated activity. A System models one board: its
 	// kernel, CPU and manager are single-threaded, so concurrent users
-	// (the scheduler's pool workers) must go through Execute/Resident,
+	// (the scheduler's pool workers) must go through ExecuteOn/ResidentOn,
 	// which take this lock. Two regions of one board never compute
 	// simultaneously — sibling activity interleaves on this lock.
 	mu sync.Mutex
@@ -457,22 +457,16 @@ func (s *System) Core() hw.Core { return s.regions[s.active].core() }
 // verifies its module against this rather than Mgr.Current (region 0).
 func (s *System) CurrentModule() string { return s.regions[s.active].mgr.Current() }
 
-// LoadModule reconfigures region 0 with the named module, letting the
-// planner choose the cheapest safe stream (a no-op when resident, a
+// LoadModuleOn reconfigures the given region with the named module, letting
+// the planner choose the cheapest safe stream (a no-op when resident, a
 // differential transition when the tracked state is authoritative, the
 // complete stream otherwise), and reports what was streamed. It takes the
-// system lock, so Status/Resident/PlanFor stay safe concurrently.
-func (s *System) LoadModule(name string) (ConfigReport, error) {
-	return s.LoadModuleOn(0, name)
-}
-
-// LoadModuleOn reconfigures the given region with the named module under
-// the planner.
+// system lock, so Status/ResidentOn/PlanForOn stay safe concurrently.
 func (s *System) LoadModuleOn(ri int, name string) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.regions[ri]
-	return s.loadWith(rs, name, rs.planning)
+	return s.loadWith(rs, name, rs.planning, nil)
 }
 
 // LoadComplete reconfigures region 0 with the module's complete
@@ -481,7 +475,7 @@ func (s *System) LoadModuleOn(ri int, name string) (ConfigReport, error) {
 func (s *System) LoadComplete(name string) (ConfigReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadWith(s.regions[0], name, false)
+	return s.loadWith(s.regions[0], name, false, nil)
 }
 
 // WriteMem loads bytes into external memory functionally (test and

@@ -3,7 +3,7 @@
 // reconfiguration workloads. Each member is one platform.System with its
 // own simulated timeline; members are built concurrently (boot is pure
 // setup) and are driven concurrently through the system's serialized
-// Execute surface. Placement policy lives above the pool, in sched.
+// ExecuteOn surface. Placement policy lives above the pool, in sched.
 package pool
 
 import (

@@ -48,7 +48,7 @@ func TestSnapshotDuringConcurrentExecution(t *testing.T) {
 			defer wg.Done()
 			r := tasks.FadeRun{Seed: int64(m.ID), N: 256, F: 64}
 			for i := 0; i < 3; i++ {
-				if _, err := m.Sys.Execute(r.Module(), func() error { return r.Run(m.Sys) }); err != nil {
+				if _, err := m.Sys.ExecuteOn(0, r.Module(), func() error { return r.Run(m.Sys) }); err != nil {
 					t.Error(err)
 				}
 			}

@@ -152,3 +152,71 @@ func TestDMAPairFasterThanSerial(t *testing.T) {
 		t.Error("no overlapped configuration time")
 	}
 }
+
+// TestDMAScrubCompose: scrub-on-dispatch and DMA loads run together on the
+// one scheduler runner — each assignment is scrubbed just before its head
+// Begins, so the paired drive keeps its overlapped port windows while
+// every dispatch is verified. An upset planted under DMA mode is caught by
+// the dispatch scrub, the request is requeued and served from a healthy
+// slot, and the background repair returns the faulted slot to service.
+func TestDMAScrubCompose(t *testing.T) {
+	p := pool64x2(t, 2)
+	gang, err := PolicyByName("gang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, Options{DMA: true, Scrub: true, Policy: gang})
+	streamed := func() uint64 {
+		var b uint64
+		for _, m := range p.Members() {
+			b += m.Sys.Status().StreamedBytes
+		}
+		return b
+	}
+	runPaired(t, s, 6)
+	st := s.Stats()
+	if st.DMALoads == 0 || st.OverlapConfig == 0 || st.ScrubPasses == 0 {
+		t.Fatalf("DMALoads %d, OverlapConfig %v, ScrubPasses %d: want all positive",
+			st.DMALoads, st.OverlapConfig, st.ScrubPasses)
+	}
+	if member := streamed(); st.BytesStreamed != member {
+		t.Fatalf("scheduler booked %d B, members streamed %d B", st.BytesStreamed, member)
+	}
+
+	warm := <-s.Submit(tasks.JenkinsRun{Seed: 7, Len: 256, InitVal: 3})
+	if warm.Err != nil {
+		t.Fatal(warm.Err)
+	}
+	quiesce(t, s)
+	if err := p.Members()[warm.Member].Sys.InjectFaultOn(warm.Region, 1, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	// Dispatched to its corrupted resident slot, the request is bounced by
+	// the dispatch scrub and runs elsewhere.
+	r := <-s.Submit(tasks.JenkinsRun{Seed: 8, Len: 256, InitVal: 3})
+	if r.Err != nil {
+		t.Fatalf("requeued request failed: %v", r.Err)
+	}
+	if r.Member == warm.Member && r.Region == warm.Region {
+		t.Fatalf("request ran on the faulted slot (%d,%d)", r.Member, r.Region)
+	}
+	quiesce(t, s)
+	s.Wait()
+	st = s.Stats()
+	if st.FaultsDetected != 1 || st.Requeues != 1 || st.Repairs != 1 {
+		t.Fatalf("detected %d / requeues %d / repairs %d, want 1 / 1 / 1",
+			st.FaultsDetected, st.Requeues, st.Repairs)
+	}
+	if st.Errors != 0 || st.Done != st.Requests {
+		t.Fatalf("errors %d, done %d of %d: want every request clean", st.Errors, st.Done, st.Requests)
+	}
+	if member := streamed(); st.BytesStreamed+st.RepairBytes != member {
+		t.Fatalf("scheduler booked %d B + %d B of repairs, members streamed %d B",
+			st.BytesStreamed, st.RepairBytes, member)
+	}
+	for _, m := range p.Snapshot() {
+		if m.Corrupted {
+			t.Fatal("static design corrupted")
+		}
+	}
+}

@@ -107,7 +107,7 @@ type minCostPolicy struct{}
 func (minCostPolicy) Name() string { return "mincost" }
 
 // NeedsPlan tells the scheduler to fill Candidate.Plan — plan-unaware
-// policies (lru) skip the per-member PlanFor calls entirely.
+// policies (lru) skip the per-member PlanForOn calls entirely.
 func (minCostPolicy) NeedsPlan() bool { return true }
 
 func (minCostPolicy) Pick(module string, cands []Candidate) int {

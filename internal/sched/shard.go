@@ -128,9 +128,6 @@ func (sh *shard) submitLocked(t tasks.Runner, arrival sim.Time, openLoop bool) <
 // dispatch round, so a failed steal cannot spin.
 func (sh *shard) dispatchLocked() {
 	sc := sh.sc
-	// Scrub-on-dispatch needs the CPU path's pre-execution pass, so DMA
-	// dispatch yields to it.
-	useDMA := sc.opts.DMA && !sc.opts.Scrub
 	var round []assignment
 	assigned := make(map[int]bool)
 	stole := false
@@ -200,7 +197,7 @@ func (sh *shard) dispatchLocked() {
 			byMember[a.ss.m] = append(byMember[a.ss.m], a)
 		}
 		for _, m := range order {
-			go sh.runGroup(byMember[m], useDMA)
+			go sh.runGroup(byMember[m])
 		}
 	}
 	sh.prefetchLocked()
@@ -262,11 +259,14 @@ func (sh *shard) stealLocked() bool {
 	return false
 }
 
-// assignment is one dispatched (slot, batch) pair of a round.
+// assignment is one dispatched (slot, batch) pair of a round. tk is the
+// head's in-flight DMA load once start has begun it; nil on the CPU path
+// (and after a Begin error), where the head loads inside ExecuteOn.
 type assignment struct {
 	ss    *slotState
 	si    int
 	batch []*request
+	tk    *platform.LoadTicket
 }
 
 // pickLocked returns the indices of the first schedulable pending request
@@ -381,7 +381,7 @@ func (sh *shard) prefetchLocked() {
 	}
 	candidates := sc.opts.Predictor.Rank(2 * len(sh.slots) * len(sh.slots))
 	// The eviction loss is constant per slot within the round; computing
-	// it once avoids per-candidate RestoreEstimate round trips through
+	// it once avoids per-candidate RestoreEstimateOn round trips through
 	// the members' locks (idle slots belong to quiet members, so those
 	// trips are brief).
 	loss := make(map[*slotState]float64, len(idle))
@@ -569,83 +569,86 @@ func (sh *shard) runSpeculative(ss *slotState, mod string, tok *abortToken) {
 	}
 }
 
-func (sh *shard) runBatch(ss *slotState, si int, batch []*request) {
-	sc := sh.sc
-	if sc.opts.Scrub {
-		// Scrub-on-dispatch: verify the slot's region before trusting its
-		// resident. The pass takes the member's lock — a speculative
-		// stream in flight on this slot is serialized out first, and an
-		// aborted one reads as already-demoted, never as a fresh fault.
-		rep := ss.m.Sys.ScrubOn(ss.ri)
-		sh.mu.Lock()
-		sh.stats.ScrubPasses++
-		if tr := sc.opts.Trace; tr != nil {
-			arg := int64(0)
-			if rep.Detected {
-				arg = 1
-			}
-			tr.Emit(trace.Event{Ts: sc.clock.Now(), Kind: trace.KindScrub,
-				Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
-		}
-		if rep.Detected {
-			// The batch never ran: bounce it back to the head of the queue
-			// in order, take the slot out of service, and let dispatch
-			// place the requests elsewhere (or wait out the repair).
-			sh.stats.Requeues += uint64(len(batch))
-			sh.pending = append(append([]*request(nil), batch...), sh.pending...)
-			sh.quarantineLocked(ss, rep.Module)
-			ss.busy = false
-			sh.dispatchLocked()
-			sh.mu.Unlock()
-			return
-		}
-		sh.mu.Unlock()
-	}
-	for _, req := range batch {
-		t := req.task
-		sys := ss.m.Sys
-		rep, err := sys.ExecuteOn(ss.ri, t.Module(), func() error { return t.Run(sys) })
-		res := Result{ID: req.id, Task: t.Name(), Module: t.Module(),
-			Member: ss.m.ID, Region: ss.ri, System: sys.Name, Report: rep, Err: err}
-		sh.record(si, &res, req)
-		req.ch <- res
-		sc.inflight.Add(-1)
-		sc.wg.Done()
-	}
-	sh.mu.Lock()
-	ss.busy = false
-	sh.dispatchLocked()
-	sh.mu.Unlock()
-}
-
-// runGroup runs one member's assignments of a dispatch round in order. In
-// DMA mode every head's stream Begins before any assignment settles, so
-// sibling regions' port windows overlap; then each assignment settles its
-// window, runs its batch and releases its slot on the member's serialized
-// timeline. On the CPU path the assignments simply run back to back.
-func (sh *shard) runGroup(group []assignment, dma bool) {
-	if !dma {
+// runGroup runs one member's assignments of a dispatch round in order, on
+// the member's serialized timeline. Each assignment is started (dispatch
+// scrub, then in DMA mode its head's Begin) just before its stream would
+// begin: in DMA mode every surviving head starts before any assignment
+// settles, so sibling regions' port windows overlap; on the CPU path each
+// assignment starts right before it runs, since its stream begins inside
+// ExecuteOn.
+func (sh *shard) runGroup(group []assignment) {
+	if !sh.sc.opts.DMA {
 		for _, a := range group {
-			sh.runBatch(a.ss, a.si, a.batch)
+			if sh.start(&a) {
+				sh.runAssignment(a)
+			}
 		}
 		return
 	}
-	tickets := make([]*platform.LoadTicket, len(group))
-	for i, a := range group {
-		tk, err := a.ss.m.Sys.BeginExecuteOn(a.ss.ri, a.batch[0].task.Module())
-		if err == nil {
-			tickets[i] = tk
+	live := group[:0]
+	for _, a := range group {
+		if sh.start(&a) {
+			live = append(live, a)
 		}
-		// On a Begin error the ticket stays nil and the run phase falls
-		// back to the CPU path's ExecuteOn, which re-plans after the
-		// demotion and reports whatever happens through the normal path.
 	}
-	for i, a := range group {
-		sh.runAssignment(a, tickets[i])
+	for _, a := range live {
+		sh.runAssignment(a)
 	}
 }
 
-func (sh *shard) runAssignment(a assignment, tk *platform.LoadTicket) {
+// start runs an assignment's pre-stream steps and reports whether it may
+// run: false when the dispatch scrub bounced its batch.
+func (sh *shard) start(a *assignment) bool {
+	if sh.sc.opts.Scrub && !sh.scrubDispatch(*a) {
+		return false
+	}
+	if sh.sc.opts.DMA {
+		// On a Begin error the ticket stays nil and the head falls back to
+		// ExecuteOn, which re-plans after the demotion and reports whatever
+		// happens through the normal path.
+		a.tk, _ = a.ss.m.Sys.BeginExecuteOn(a.ss.ri, a.batch[0].task.Module())
+	}
+	return true
+}
+
+// scrubDispatch is scrub-on-dispatch: it verifies the slot's region before
+// the assignment trusts its resident, and reports whether the region is
+// clean. The pass takes the member's lock — a speculative stream in flight
+// on this slot is serialized out first, and an aborted one reads as
+// already-demoted, never as a fresh fault. On a detection the batch never
+// ran: it goes back to the head of the queue in order, the slot is taken
+// out of service, and dispatch places the requests elsewhere (or waits out
+// the repair).
+func (sh *shard) scrubDispatch(a assignment) bool {
+	sc, ss := sh.sc, a.ss
+	rep := ss.m.Sys.ScrubOn(ss.ri)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.stats.ScrubPasses++
+	if tr := sc.opts.Trace; tr != nil {
+		arg := int64(0)
+		if rep.Detected {
+			arg = 1
+		}
+		tr.Emit(trace.Event{Ts: sc.clock.Now(), Kind: trace.KindScrub,
+			Member: int32(ss.m.ID), Region: int32(ss.ri), Name: rep.Module, Arg: arg})
+	}
+	if !rep.Detected {
+		return true
+	}
+	sh.stats.Requeues += uint64(len(a.batch))
+	sh.pending = append(append([]*request(nil), a.batch...), sh.pending...)
+	sh.quarantineLocked(ss, rep.Module)
+	ss.busy = false
+	sh.dispatchLocked()
+	return false
+}
+
+// runAssignment executes an assignment's batch and releases its slot. The
+// head settles its DMA ticket when it has one; batch riders behind it (and
+// heads without a ticket) take ExecuteOn — for riders a zero-stream cache
+// hit.
+func (sh *shard) runAssignment(a assignment) {
 	sc := sh.sc
 	ss, si := a.ss, a.si
 	sys := ss.m.Sys
@@ -653,11 +656,9 @@ func (sh *shard) runAssignment(a assignment, tk *platform.LoadTicket) {
 		t := req.task
 		var rep platform.ExecReport
 		var err error
-		if bi == 0 && tk != nil {
-			rep, err = sys.FinishExecuteOn(tk, func() error { return t.Run(sys) })
+		if bi == 0 && a.tk != nil {
+			rep, err = sys.FinishExecuteOn(a.tk, func() error { return t.Run(sys) })
 		} else {
-			// Batch riders behind the head (and Begin-error fallbacks) take
-			// the ordinary load path — for riders a zero-stream cache hit.
 			rep, err = sys.ExecuteOn(ss.ri, t.Module(), func() error { return t.Run(sys) })
 		}
 		res := Result{ID: req.id, Task: t.Name(), Module: t.Module(),

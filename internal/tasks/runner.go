@@ -16,8 +16,8 @@ import (
 // arbitrary task types without knowing their argument structures.
 //
 // Run is called with the named module already configured in the dynamic
-// area and with the system lock held (inside platform.Execute); it must
-// drive only the system it is given and must not call Execute or Resident
+// area and with the system lock held (inside platform.ExecuteOn); it must
+// drive only the system it is given and must not call ExecuteOn or ResidentOn
 // on it.
 type Runner interface {
 	// Name is a descriptive label ("jenkins/1024B").

@@ -37,7 +37,7 @@ func TestRunnersVerifyOnBothSystems(t *testing.T) {
 				if !s.Supports(r.Module()) {
 					continue // sha1 does not fit the 32-bit dynamic area
 				}
-				rep, err := s.Execute(r.Module(), func() error { return r.Run(s) })
+				rep, err := s.ExecuteOn(0, r.Module(), func() error { return r.Run(s) })
 				if err != nil {
 					t.Fatalf("%s: %v", r.Name(), err)
 				}
@@ -55,7 +55,7 @@ func TestRunnerVerificationCatchesWrongModule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load a different module than the runner needs: the driver must refuse.
-	if _, err := s.LoadModule("blend"); err != nil {
+	if _, err := s.LoadModuleOn(0, "blend"); err != nil {
 		t.Fatal(err)
 	}
 	r := tasks.FadeRun{Seed: 1, N: 64, F: 128}

@@ -31,7 +31,7 @@ func sys64(t *testing.T) *platform.System {
 
 func load(t *testing.T, s *platform.System, mod string) {
 	t.Helper()
-	if _, err := s.LoadModule(mod); err != nil {
+	if _, err := s.LoadModuleOn(0, mod); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +203,7 @@ func TestSHA1SWHWMatchStdlib(t *testing.T) {
 
 func TestSHA1NotAvailableOn32(t *testing.T) {
 	s := sys32(t)
-	if _, err := s.LoadModule("sha1"); err == nil {
+	if _, err := s.LoadModuleOn(0, "sha1"); err == nil {
 		t.Fatal("sha1 must not be loadable on the 32-bit system (§4.2)")
 	}
 }
