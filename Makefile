@@ -104,10 +104,12 @@ tracedemo:
 # Fuzz smoke: the loader must reject damaged differential streams without
 # wedging (CRC or state-machine error, never silent misconfiguration),
 # multi-region differentials must stay inside their region's frame spans,
-# and damaged compressed containers must never decode to divergent frames.
+# damaged compressed containers must never decode to divergent frames, and
+# the table-driven CRC16 must equal the bit-serial one.
 fuzz:
 	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s ./internal/bitstream
+	go test -run '^$$' -fuzz FuzzCRC -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s ./internal/plan
 
 # Multi-region smoke: the per-region hazard gate, sibling-region hits and
@@ -156,9 +158,10 @@ replay:
 		-replay artifacts/fault-replay/fault_scenarios.jsonl \
 		-json artifacts/fault-replay/BENCH_replay.json
 
-# Go benchmark harness (paper tables + scheduler economics).
+# Go benchmark harness (paper tables, scheduler economics and per-layer
+# host cost: FrameCRC, LoaderLoad, StaticHash).
 gobench:
-	go test -bench . -benchtime 1x ./...
+	go test -bench . -benchtime 1x -benchmem ./...
 
 # Regenerate the paper's tables and figures.
 sim:

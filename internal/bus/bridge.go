@@ -19,7 +19,10 @@ type Bridge struct {
 	// PostDepth is the posted-write queue depth.
 	PostDepth int
 
-	posted []uint64 // completion times (femtoseconds) of in-flight writes
+	// posted holds the completion times (femtoseconds) of in-flight writes,
+	// oldest first. Retired entries are copied out of the front so the
+	// queue stays in its backing array.
+	posted []uint64
 	reads  uint64
 	writes uint64
 }
@@ -31,7 +34,8 @@ func NewBridge(plb, opb *Bus, base uint32, requestCycles, postDepth int) *Bridge
 	if postDepth < 1 {
 		postDepth = 1
 	}
-	return &Bridge{opb: opb, plb: plb, base: base, RequestCycles: requestCycles, PostDepth: postDepth}
+	return &Bridge{opb: opb, plb: plb, base: base, RequestCycles: requestCycles, PostDepth: postDepth,
+		posted: make([]uint64, 0, postDepth)}
 }
 
 // Name implements Slave.
@@ -81,7 +85,7 @@ func (br *Bridge) Write(addr uint32, val uint64, size int) int {
 	if len(br.posted) >= br.PostDepth {
 		// Queue full: the PLB side stalls until the oldest write retires.
 		oldest := br.posted[0]
-		br.posted = br.posted[1:]
+		br.dropPosted(1)
 		if now := uint64(br.plb.k.Now()); oldest > now {
 			stall = int(br.plb.clk.CyclesIn(sim.Time(oldest-now))) + 1
 		}
@@ -110,5 +114,12 @@ func (br *Bridge) reapPosted() {
 	for i < len(br.posted) && br.posted[i] <= now {
 		i++
 	}
-	br.posted = br.posted[i:]
+	br.dropPosted(i)
+}
+
+// dropPosted removes the n oldest posted writes.
+func (br *Bridge) dropPosted(n int) {
+	if n > 0 {
+		br.posted = br.posted[:copy(br.posted, br.posted[n:])]
+	}
 }

@@ -265,6 +265,35 @@ func TestBridgePostedWrites(t *testing.T) {
 	}
 }
 
+// A steady stream of posted writes keeps the post queue in its backing
+// array: once full, every write retires the oldest entry in place.
+func TestBridgePostedWritesAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	clk := sim.NewClock("c", 50_000_000)
+	plb := New("plb", k, clk, 8, Params{ArbCycles: 2, ReadExtra: 2, BeatCycles: 1})
+	opb := New("opb", k, clk, 4, Params{ArbCycles: 2, ReadExtra: 1, BeatCycles: 1})
+	if err := opb.Map(0, 1<<20, memctl.NewSRAM()); err != nil {
+		t.Fatal(err)
+	}
+	br := NewBridge(plb, opb, 0, 1, 2)
+	if err := plb.Map(0x2000_0000, 1<<20, br); err != nil {
+		t.Fatal(err)
+	}
+	var i uint32
+	write := func() {
+		if err := plb.Write(0x2000_0000+4*(i%64), uint64(i), 4); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for j := 0; j < 8; j++ {
+		write()
+	}
+	if allocs := testing.AllocsPerRun(1000, write); allocs != 0 {
+		t.Fatalf("posted write allocates %.1f times per call", allocs)
+	}
+}
+
 func TestBridge64BitSplit(t *testing.T) {
 	k := sim.NewKernel()
 	clk := sim.NewClock("c", 50_000_000)

@@ -781,7 +781,8 @@ func (m *Manager) rebind() {
 
 // readbackCRC folds every frame of the region's spans into one CRC16, the
 // way a readback scrub would see them coming out of the configuration
-// port. The bit-serial CRC detects every single-bit upset in the window.
+// port. A CRC16 detects every single-bit upset in the window: its
+// polynomial has more than one term.
 func (m *Manager) readbackCRC() uint16 {
 	var crc uint16
 	for _, sp := range m.spans {

@@ -101,12 +101,12 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnvWord folds the word's four bytes, low byte first.
 func fnvWord(h uint64, w uint32) uint64 {
-	for shift := 0; shift < 32; shift += 8 {
-		h ^= uint64(w >> shift & 0xFF)
-		h *= fnvPrime
-	}
-	return h
+	h = (h ^ uint64(w&0xFF)) * fnvPrime
+	h = (h ^ uint64(w>>8&0xFF)) * fnvPrime
+	h = (h ^ uint64(w>>16&0xFF)) * fnvPrime
+	return (h ^ uint64(w>>24)) * fnvPrime
 }
 
 // RegionHash hashes the configuration bits owned by the region: for every
@@ -139,52 +139,53 @@ func (cm *ConfigMemory) RegionHash(r Region) uint64 {
 // StaticHash hashes every configuration bit not owned by any of the given
 // regions. The platform uses it to detect partial configurations that
 // disturb the static design (the hazard BitLinker exists to prevent).
+//
+// Words are hashed frame by frame in device order (CLB columns, then BRAM
+// columns), skipping the row-band words of every region that encloses the
+// column. Which words a column skips is the same for all of its frames, so
+// it is worked out once per column into a reused mask.
 func (cm *ConfigMemory) StaticHash(regions ...Region) uint64 {
 	h := uint64(fnvOffset)
+	skip := make([]bool, cm.dev.FrameLen())
 	for col := 0; col < cm.dev.Cols; col++ {
-		for minor := 0; minor < FramesPerCLBColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockCLB, Major: col, Minor: minor})
-			for wi, w := range f {
-				if wordInRegions(cm.dev, regions, col, wi, false, 0) {
-					continue
-				}
-				h = fnvWord(h, w)
+		clear(skip)
+		for _, r := range regions {
+			if r.ContainsCol(col) {
+				cm.dev.markRowBand(skip, r)
 			}
 		}
+		h = cm.hashColumn(h, BlockCLB, col, skip)
 	}
 	for bcol := range cm.dev.BRAMColPos {
-		for minor := 0; minor < FramesPerBRAMColumn; minor++ {
-			f := cm.frame(FAR{Block: BlockBRAM, Major: bcol, Minor: minor})
-			for wi, w := range f {
-				if wordInRegions(cm.dev, regions, 0, wi, true, bcol) {
-					continue
-				}
+		clear(skip)
+		for _, r := range regions {
+			if cm.dev.bramEnclosed(r, bcol) {
+				cm.dev.markRowBand(skip, r)
+			}
+		}
+		h = cm.hashColumn(h, BlockBRAM, bcol, skip)
+	}
+	return h
+}
+
+// markRowBand sets skip for the frame words of the region's row band.
+func (d *Device) markRowBand(skip []bool, r Region) {
+	lo, hi := d.RowWordRange(r.Row0, r.H)
+	for wi := max(lo, 0); wi < min(hi, len(skip)); wi++ {
+		skip[wi] = true
+	}
+}
+
+// hashColumn folds the words not marked in skip of every frame of one
+// column into h.
+func (cm *ConfigMemory) hashColumn(h uint64, b BlockType, major int, skip []bool) uint64 {
+	for minor := 0; minor < FramesFor(b); minor++ {
+		f := cm.frame(FAR{Block: b, Major: major, Minor: minor})
+		for wi, w := range f {
+			if !skip[wi] {
 				h = fnvWord(h, w)
 			}
 		}
 	}
 	return h
-}
-
-// wordInRegions reports whether frame word index wi of the given column
-// belongs to one of the regions.
-func wordInRegions(d *Device, regions []Region, col, wi int, bram bool, bcol int) bool {
-	for _, r := range regions {
-		lo, hi := d.RowWordRange(r.Row0, r.H)
-		if wi < lo || wi >= hi {
-			continue
-		}
-		if bram {
-			for _, c := range d.BRAMColumns(r) {
-				if c == bcol {
-					return true
-				}
-			}
-			continue
-		}
-		if r.ContainsCol(col) {
-			return true
-		}
-	}
-	return false
 }

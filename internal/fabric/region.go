@@ -47,14 +47,19 @@ func (r Region) String() string {
 // the BRAM columns enclosed by the region.
 func (d *Device) BRAMColumns(r Region) []int {
 	var cols []int
-	for i, p := range d.BRAMColPos {
-		// A BRAM column between CLB columns p and p+1 is enclosed when both
-		// neighbours are inside the region.
-		if r.ContainsCol(p) && r.ContainsCol(p+1) {
+	for i := range d.BRAMColPos {
+		if d.bramEnclosed(r, i) {
 			cols = append(cols, i)
 		}
 	}
 	return cols
+}
+
+// bramEnclosed reports whether BRAM column i is enclosed by the region: the
+// column sits between CLB columns p and p+1, and both are inside it.
+func (d *Device) bramEnclosed(r Region, i int) bool {
+	p := d.BRAMColPos[i]
+	return r.ContainsCol(p) && r.ContainsCol(p+1)
 }
 
 // bramBlockSpan returns the half-open row interval of block k in a BRAM
