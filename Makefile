@@ -159,7 +159,9 @@ replay:
 		-json artifacts/fault-replay/BENCH_replay.json
 
 # Go benchmark harness (paper tables, scheduler economics and per-layer
-# host cost: FrameCRC, LoaderLoad, StaticHash).
+# host cost: FrameCRC, LoaderLoad, StaticHash, Assemble,
+# AssembleDifferential, Scrub, StaticCheck). One iteration each, with
+# allocation counts.
 gobench:
 	go test -bench . -benchtime 1x -benchmem ./...
 

@@ -2,6 +2,7 @@ package bitlinker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/busmacro"
@@ -63,13 +64,7 @@ func (a *Assembler) Assemble(placements ...Placed) (*Result, error) {
 	if err := a.check(placements); err != nil {
 		return nil, err
 	}
-	target := a.targetImage(placements)
-	runs, frames := a.regionRuns(target)
-	s, err := bitstream.Build(a.dev, runs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stream: s, Frames: frames, RegionHash: target.RegionHash(a.region)}, nil
+	return a.complete(a.regionImage(a.baseline, placements))
 }
 
 // AssembleDifferential emits only the frames that differ from the assumed
@@ -83,36 +78,35 @@ func (a *Assembler) AssembleDifferential(assumed *fabric.ConfigMemory, placement
 	if assumed.Device() != a.dev {
 		return nil, fmt.Errorf("bitlinker: assumed image belongs to a different device")
 	}
-	target := a.targetImage(placements)
+	image := a.regionImage(a.baseline, placements)
+	have := make([]uint32, a.dev.FrameLen())
 	var runs []bitstream.FrameRun
-	cur := -1 // index into runs of the run being extended, -1 if none
+	cur := -1  // index into runs of the run being extended, -1 if none
+	start := 0 // image index of the current run's first frame
+	prev := -1 // device frame index of the previous image frame
 	frames := 0
-	a.forEachRegionFAR(func(far fabric.FAR) {
-		want, _ := target.ReadFrame(far)
-		have, _ := assumed.ReadFrame(far)
-		same := true
-		for i := range want {
-			if want[i] != have[i] {
-				same = false
-				break
-			}
+	a.forEachRegionFAR(func(j int, far fabric.FAR) {
+		want := image[j]
+		idx, err := a.dev.FrameIndex(far)
+		if err == nil {
+			err = assumed.ReadFrameInto(have, far)
 		}
-		if same {
+		if err != nil {
+			panic(err) // region addresses are constructed in range
+		}
+		if slices.Equal(want, have) {
 			cur = -1
-			return
-		}
-		frames++
-		if cur >= 0 {
+		} else {
+			frames++
 			// Extend the current run when far follows its last frame.
-			startIdx, _ := a.dev.FrameIndex(runs[cur].Start)
-			farIdx, _ := a.dev.FrameIndex(far)
-			if farIdx == startIdx+len(runs[cur].Frames) {
-				runs[cur].Frames = append(runs[cur].Frames, want)
-				return
+			if cur >= 0 && idx == prev+1 {
+				runs[cur].Frames = image[start : j+1]
+			} else {
+				runs = append(runs, bitstream.FrameRun{Start: far, Frames: image[j : j+1]})
+				cur, start = len(runs)-1, j
 			}
 		}
-		runs = append(runs, bitstream.FrameRun{Start: far, Frames: [][]uint32{want}})
-		cur = len(runs) - 1
+		prev = idx
 	})
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("bitlinker: differential configuration is empty (target equals assumed image)")
@@ -121,7 +115,7 @@ func (a *Assembler) AssembleDifferential(assumed *fabric.ConfigMemory, placement
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stream: s, Frames: frames, RegionHash: target.RegionHash(a.region)}, nil
+	return &Result{Stream: s, Frames: frames, RegionHash: a.dev.RegionFramesHash(a.region, image)}, nil
 }
 
 // AssembleNaive emits a configuration of the region columns whose frames
@@ -133,14 +127,31 @@ func (a *Assembler) AssembleNaive(placements ...Placed) (*Result, error) {
 	if err := a.check(placements); err != nil {
 		return nil, err
 	}
-	blank := fabric.NewConfigMemory(a.dev)
-	target := a.stampInto(blank, placements)
-	runs, frames := a.regionRuns(target)
+	return a.complete(a.regionImage(nil, placements))
+}
+
+// complete emits every frame of the region image: one run covering all CLB
+// columns (they are contiguous in frame address space) plus one run per
+// enclosed BRAM column.
+func (a *Assembler) complete(image [][]uint32) (*Result, error) {
+	r := a.region
+	clb := r.W * fabric.FramesPerCLBColumn
+	runs := []bitstream.FrameRun{{
+		Start:  fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0, Minor: 0},
+		Frames: image[:clb],
+	}}
+	for i, bcol := range a.dev.BRAMColumns(r) {
+		off := clb + i*fabric.FramesPerBRAMColumn
+		runs = append(runs, bitstream.FrameRun{
+			Start:  fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: 0},
+			Frames: image[off : off+fabric.FramesPerBRAMColumn],
+		})
+	}
 	s, err := bitstream.Build(a.dev, runs)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stream: s, Frames: frames, RegionHash: target.RegionHash(a.region)}, nil
+	return &Result{Stream: s, Frames: len(image), RegionHash: a.dev.RegionFramesHash(r, image)}, nil
 }
 
 // check validates placements: footprint fit, overlap, dock alignment, BRAM
@@ -209,61 +220,64 @@ func (a *Assembler) check(placements []Placed) error {
 	return nil
 }
 
-// targetImage builds the post-configuration image: the static baseline with
-// the region band replaced by the assembled components (blank where no
-// component is placed).
-func (a *Assembler) targetImage(placements []Placed) *fabric.ConfigMemory {
-	return a.stampInto(a.baseline.Clone(), placements)
-}
-
 // Target returns the configuration image the placements would leave in the
 // device: the static baseline with the region band holding the assembled
 // components. Callers use it as the assumed-state input of differential
 // assembly.
 func (a *Assembler) Target(placements ...Placed) *fabric.ConfigMemory {
-	return a.targetImage(placements)
+	out := a.baseline.Clone()
+	image := a.regionImage(a.baseline, placements)
+	a.forEachRegionFAR(func(j int, far fabric.FAR) {
+		if err := out.WriteFrame(far, image[j]); err != nil {
+			panic(err) // region addresses are constructed in range
+		}
+	})
+	return out
 }
 
-// stampInto writes the region band of base: zeros everywhere in the band,
+// regionImage returns the region's frames after a complete load of the
+// placements over base (a blank device when base is nil), in
+// forEachRegionFAR order and backed by one array: each frame is base's
+// frame with the region band rewritten — zeros everywhere in the band,
 // then each component's frames at its placement, then deterministic BRAM
-// content for enclosed BRAM columns.
-func (a *Assembler) stampInto(base *fabric.ConfigMemory, placements []Placed) *fabric.ConfigMemory {
+// content for enclosed BRAM columns. Words outside the band keep base's
+// content, which is what preserves the static design.
+func (a *Assembler) regionImage(base *fabric.ConfigMemory, placements []Placed) [][]uint32 {
 	r := a.region
-	lo, _ := a.dev.RowWordRange(r.Row0, r.H)
-	for col := 0; col < r.W; col++ {
-		abs := r.Col0 + col
-		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			far := fabric.FAR{Block: fabric.BlockCLB, Major: abs, Minor: minor}
-			frame, _ := base.ReadFrame(far)
-			for row := 0; row < r.H; row++ {
-				for w := 0; w < wordsPerRow; w++ {
-					frame[lo+wordsPerRow*row+w] = 0
-				}
+	flen := a.dev.FrameLen()
+	bcols := a.dev.BRAMColumns(r)
+	image := make([][]uint32, r.W*fabric.FramesPerCLBColumn+len(bcols)*fabric.FramesPerBRAMColumn)
+	backing := make([]uint32, len(image)*flen)
+	a.forEachRegionFAR(func(j int, far fabric.FAR) {
+		image[j], backing = backing[:flen:flen], backing[flen:]
+		if base != nil {
+			if err := base.ReadFrameInto(image[j], far); err != nil {
+				panic(err) // region addresses are constructed in range
 			}
+		}
+	})
+	lo, hi := a.dev.RowWordRange(r.Row0, r.H)
+	j := 0
+	for col := 0; col < r.W; col++ {
+		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
+			frame := image[j]
+			j++
+			clear(frame[lo:hi])
 			for _, p := range placements {
 				if col < p.ColOff || col >= p.ColOff+p.C.W {
 					continue
 				}
 				src := p.C.CLBFrames[col-p.ColOff][minor]
-				for row := 0; row < p.C.H; row++ {
-					for w := 0; w < wordsPerRow; w++ {
-						frame[lo+wordsPerRow*(p.RowOff+row)+w] = src[wordsPerRow*row+w]
-					}
-				}
-			}
-			if err := base.WriteFrame(far, frame); err != nil {
-				panic(err) // addresses are constructed in range
+				copy(frame[lo+wordsPerRow*p.RowOff:], src[:wordsPerRow*p.C.H])
 			}
 		}
 	}
-	for bi, bcol := range a.dev.BRAMColumns(r) {
+	for bi, bcol := range bcols {
 		pos := a.dev.BRAMColPos[bcol]
 		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
-			far := fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor}
-			frame, _ := base.ReadFrame(far)
-			for i := lo; i < lo+wordsPerRow*r.H; i++ {
-				frame[i] = 0
-			}
+			frame := image[j]
+			j++
+			clear(frame[lo:hi])
 			for _, p := range placements {
 				if p.C.Resources.BRAMs == 0 {
 					continue
@@ -272,63 +286,31 @@ func (a *Assembler) stampInto(base *fabric.ConfigMemory, placements []Placed) *f
 				// neighbours of the column lie inside its span.
 				c0 := r.Col0 + p.ColOff
 				if pos >= c0 && pos+1 < c0+p.C.W {
-					for i := lo; i < lo+wordsPerRow*r.H; i++ {
+					for i := lo; i < hi; i++ {
 						frame[i] = splitmix(p.C.BRAMSeed ^ uint64(bi)<<32 ^ uint64(minor)<<16 ^ uint64(i))
 					}
 				}
 			}
-			if err := base.WriteFrame(far, frame); err != nil {
-				panic(err)
-			}
 		}
 	}
-	return base
-}
-
-// regionRuns converts the region's frames in the target image into frame
-// runs for the stream builder: one run covering all CLB columns (they are
-// contiguous in frame address space) plus one run per enclosed BRAM column.
-func (a *Assembler) regionRuns(target *fabric.ConfigMemory) ([]bitstream.FrameRun, int) {
-	r := a.region
-	var clbFrames [][]uint32
-	for col := 0; col < r.W; col++ {
-		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			f, _ := target.ReadFrame(fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0 + col, Minor: minor})
-			clbFrames = append(clbFrames, f)
-		}
-	}
-	runs := []bitstream.FrameRun{{
-		Start:  fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0, Minor: 0},
-		Frames: clbFrames,
-	}}
-	total := len(clbFrames)
-	for _, bcol := range a.dev.BRAMColumns(r) {
-		var frames [][]uint32
-		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
-			f, _ := target.ReadFrame(fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor})
-			frames = append(frames, f)
-		}
-		runs = append(runs, bitstream.FrameRun{
-			Start:  fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: 0},
-			Frames: frames,
-		})
-		total += len(frames)
-	}
-	return runs, total
+	return image
 }
 
 // forEachRegionFAR visits every frame address owned by the region, in linear
-// order.
-func (a *Assembler) forEachRegionFAR(fn func(fabric.FAR)) {
+// order, with its position j in that order (its index in a region image).
+func (a *Assembler) forEachRegionFAR(fn func(j int, far fabric.FAR)) {
 	r := a.region
+	j := 0
 	for col := 0; col < r.W; col++ {
 		for minor := 0; minor < fabric.FramesPerCLBColumn; minor++ {
-			fn(fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0 + col, Minor: minor})
+			fn(j, fabric.FAR{Block: fabric.BlockCLB, Major: r.Col0 + col, Minor: minor})
+			j++
 		}
 	}
 	for _, bcol := range a.dev.BRAMColumns(r) {
 		for minor := 0; minor < fabric.FramesPerBRAMColumn; minor++ {
-			fn(fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor})
+			fn(j, fabric.FAR{Block: fabric.BlockBRAM, Major: bcol, Minor: minor})
+			j++
 		}
 	}
 }

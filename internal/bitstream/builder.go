@@ -105,9 +105,8 @@ func (b *Builder) WriteRun(run FrameRun) *Builder {
 		b.words = append(b.words, f...)
 		b.crc = crcStream(b.crc, RegFDRI, f)
 	}
-	pad := make([]uint32, flen)
-	b.words = append(b.words, pad...)
-	b.crc = crcStream(b.crc, RegFDRI, pad)
+	b.words = append(b.words, make([]uint32, flen)...) // the pad frame
+	b.crc = crcStream(b.crc, RegFDRI, b.words[len(b.words)-flen:])
 	b.Command(CmdLFRM)
 	return b
 }
@@ -139,11 +138,24 @@ func idcode(d *fabric.Device) uint32 {
 
 // Build assembles a full stream for a set of frame runs.
 func Build(dev *fabric.Device, runs []FrameRun) (*Stream, error) {
-	b := NewBuilder(dev).Preamble()
+	return buildRuns(dev, runs).Finish()
+}
+
+// buildRuns emits the preamble and every run into a builder whose word
+// buffer is sized once for the finished stream: 8 preamble words, 8 header
+// words plus the frames and the pad frame per run, and 8 trailer words.
+func buildRuns(dev *fabric.Device, runs []FrameRun) *Builder {
+	n := 16
+	for _, r := range runs {
+		n += 8 + (len(r.Frames)+1)*dev.FrameLen()
+	}
+	b := NewBuilder(dev)
+	b.words = make([]uint32, 0, n)
+	b.Preamble()
 	for _, r := range runs {
 		b.WriteRun(r)
 	}
-	return b.Finish()
+	return b
 }
 
 // BuildCorrupt is Build with the final CRC deliberately damaged; used by
@@ -151,10 +163,7 @@ func Build(dev *fabric.Device, runs []FrameRun) (*Stream, error) {
 // Finish recorded — a payload word that happens to equal the CRC register
 // header cannot decoy the corruption onto frame data.
 func BuildCorrupt(dev *fabric.Device, runs []FrameRun) (*Stream, error) {
-	b := NewBuilder(dev).Preamble()
-	for _, r := range runs {
-		b.WriteRun(r)
-	}
+	b := buildRuns(dev, runs)
 	s, err := b.Finish()
 	if err != nil {
 		return nil, err

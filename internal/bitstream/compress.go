@@ -271,6 +271,10 @@ func Compress(dev *fabric.Device, s *Stream, assumed *fabric.ConfigMemory, frame
 		return nil, err
 	}
 	e := &encoder{}
+	var af []uint32 // the assumed image's copy of the frame, when given
+	if assumed != nil {
+		af = make([]uint32, dev.FrameLen())
+	}
 	written := make(map[fabric.FAR]int) // FAR -> packet that wrote it
 	dedup := make(map[uint64]int)       // frame hash -> decoded offset of first copy
 	for _, sp := range spans {
@@ -294,9 +298,10 @@ func Compress(dev *fabric.Device, s *Stream, assumed *fabric.ConfigMemory, frame
 		if p, ok := written[sp.far]; ok && p < sp.packet {
 			cmOK = false
 		}
-		var af []uint32
 		if assumed != nil {
-			af, _ = assumed.ReadFrame(sp.far)
+			if err := assumed.ReadFrameInto(af, sp.far); err != nil {
+				return nil, err
+			}
 		}
 		e.frame(sp.words, af, sp.far, cmOK)
 		written[sp.far] = sp.packet
@@ -346,8 +351,10 @@ type Decoder struct {
 	crc      uint16
 	emitted  int
 	out      []uint32
-	err      error
-	done     bool
+	// frame is the reused readback buffer of KEEP (CM) references.
+	frame []uint32
+	err   error
+	done  bool
 
 	litLeft   int
 	pendN     int
@@ -367,7 +374,7 @@ const (
 
 // NewDecoder returns a decoder feeding the loader.
 func NewDecoder(l *Loader) *Decoder {
-	return &Decoder{l: l}
+	return &Decoder{l: l, frame: make([]uint32, l.dev.FrameLen())}
 }
 
 // Err returns the sticky decode error, if any.
@@ -494,8 +501,8 @@ func (d *Decoder) WriteWord(w uint32) (int, error) {
 			// frame still holds its pre-load content — the loader commits
 			// FDRI packets only at packet end, and the encoder never
 			// CM-references a frame an earlier packet rewrote.
-			frame, err := d.l.cm.ReadFrame(fabric.ParseFAR(w))
-			if err != nil {
+			frame := d.frame
+			if err := d.l.cm.ReadFrameInto(frame, fabric.ParseFAR(w)); err != nil {
 				return d.fail(fmt.Errorf("bitstream: decode: CM reference: %w", err))
 			}
 			if d.pendOff+n > len(frame) {

@@ -201,3 +201,73 @@ func TestCompressCMRefsSkipRewrittenFrames(t *testing.T) {
 		t.Fatal("second write of a rewritten frame decoded wrong content")
 	}
 }
+
+// TestDecodeKeepReferencesAllocFree decodes a container whose frames are
+// band edits of the live image, so most of every frame is a KEEP (CM)
+// reference into configuration memory, and requires the decode to
+// allocate less than once per reference: KEEP reads go through the
+// decoder's one-frame buffer.
+func TestDecodeKeepReferencesAllocFree(t *testing.T) {
+	dev := fabric.XC2VP7()
+	rng := rand.New(rand.NewSource(41))
+	flen := dev.FrameLen()
+	assumed := fabric.NewConfigMemory(dev)
+	start := fabric.FAR{Block: fabric.BlockCLB, Major: 3}
+	var orig, frames [][]uint32
+	far := start
+	for i := 0; i < 64; i++ {
+		f := randFrame(rng, flen)
+		orig = append(orig, f)
+		if err := assumed.WriteFrame(far, f); err != nil {
+			t.Fatal(err)
+		}
+		band := append([]uint32(nil), f...)
+		for w := flen / 3; w < flen/2; w++ {
+			band[w] = rng.Uint32()
+		}
+		frames = append(frames, band)
+		far, _ = dev.NextFAR(far)
+	}
+	s, err := Build(dev, []FrameRun{{Start: start, Frames: frames}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compress(dev, s, assumed, len(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keeps := 0
+	for i := 3; i < len(c.Words); {
+		switch w := c.Words[i]; int(w >> 24) {
+		case opLit:
+			i += 1 + int(w&maxLitRun)
+		case opCM:
+			keeps++
+			i += 2
+		default:
+			i += 2
+		}
+	}
+	if keeps < len(frames) {
+		t.Fatalf("container holds %d KEEP references, want at least one per frame (%d)", keeps, len(frames))
+	}
+	live := assumed.Clone()
+	l := NewLoader(live)
+	allocs := testing.AllocsPerRun(5, func() {
+		// Every run decodes against the assumed image.
+		far := start
+		for _, f := range orig {
+			if err := live.WriteFrame(far, f); err != nil {
+				t.Fatal(err)
+			}
+			far, _ = dev.NextFAR(far)
+		}
+		l.Reset()
+		if err := c.Decode(l); err != nil || !l.Done() {
+			t.Fatalf("decode: done %v, %v", l.Done(), err)
+		}
+	})
+	if allocs >= float64(keeps) {
+		t.Fatalf("decode allocates %.0f times for %d KEEP references", allocs, keeps)
+	}
+}

@@ -52,43 +52,79 @@ type Config struct {
 	Bind func(hw.Core)
 	// Kernel provides timing for configuration statistics.
 	Kernel *sim.Kernel
-	// StaticHashes, when set, is the device's shared static-hash
-	// memoizer: on a multi-region floorplan every manager's rebind runs
-	// after every configuration sequence, and without sharing each would
-	// recompute the identical O(device) hash. nil means the manager
-	// hashes directly (single-manager setups and tests).
-	StaticHashes *StaticHasher
+	// StaticCheck, when set, is the device's shared static-design check:
+	// on a multi-region floorplan every manager's rebind runs after every
+	// configuration sequence, and sharing it means each changed frame is
+	// compared once per sequence, not once per manager. nil makes the
+	// manager build its own over ConfigMem, Baseline and AllRegions.
+	StaticCheck *StaticCheck
 }
 
-// StaticHasher memoizes the static hash of one device's configuration
-// memory per completed configuration sequence, shared by every manager of
-// the device. Not safe for concurrent use on its own: callers serialize on
-// the system lock, like all simulated activity.
-type StaticHasher struct {
-	loader  *bitstream.Loader
-	cm      *fabric.ConfigMemory
-	regions []fabric.Region
-	valid   bool
-	configs uint64
-	hash    uint64
+// StaticCheck tracks whether one device's static design — every
+// configuration word outside the row bands of the device's dynamic
+// regions — still equals the baseline, word for word. It keeps the set of
+// frames whose static words differ; each call re-compares only the frames
+// written or flipped since the previous call (the memory's generation
+// stamps say which), so a differential that wrote a handful of frames
+// costs a handful of frame compares. Not safe for concurrent use on its
+// own: callers serialize on the system lock, like all simulated activity.
+type StaticCheck struct {
+	cm, baseline *fabric.ConfigMemory
+	regions      []fabric.Region
+	gen          uint64 // cm generation as of the last call
+	differs      []bool // per frame index: static words differ from baseline
+	bad          int    // frames with differs set
 }
 
-// NewStaticHasher returns a memoizer over the configuration memory,
-// excluding the given dynamic regions (the device's whole floorplan).
-func NewStaticHasher(loader *bitstream.Loader, cm *fabric.ConfigMemory, regions []fabric.Region) *StaticHasher {
-	return &StaticHasher{loader: loader, cm: cm, regions: regions}
-}
-
-// Hash returns the static hash as of the loader's current completed
-// configuration count, computing it at most once per sequence.
-func (h *StaticHasher) Hash() uint64 {
-	_, configs, _ := h.loader.Stats()
-	if !h.valid || configs != h.configs {
-		h.hash = h.cm.StaticHash(h.regions...)
-		h.configs = configs
-		h.valid = true
+// NewStaticCheck returns the static-design check of cm against baseline
+// (a memory of the same device) with the given dynamic regions excluded —
+// the device's whole floorplan. It compares every frame once.
+func NewStaticCheck(cm, baseline *fabric.ConfigMemory, regions []fabric.Region) (*StaticCheck, error) {
+	if baseline.Device() != cm.Device() {
+		return nil, fmt.Errorf("core: static baseline belongs to a different device")
 	}
-	return h.hash
+	c := &StaticCheck{
+		cm:       cm,
+		baseline: baseline,
+		regions:  regions,
+		gen:      cm.Generation(),
+		differs:  make([]bool, cm.Device().NumFrames()),
+	}
+	for i := range c.differs {
+		far, err := cm.Device().FARAt(i)
+		if err != nil {
+			return nil, err
+		}
+		c.compare(far)
+	}
+	return c, nil
+}
+
+// Intact reports whether every static word equals the baseline, after
+// re-comparing the frames changed since the last call.
+func (c *StaticCheck) Intact() bool {
+	if g := c.cm.Generation(); g != c.gen {
+		c.cm.ChangedSince(c.gen, c.compare)
+		c.gen = g
+	}
+	return c.bad == 0
+}
+
+// compare refreshes one frame's entry in the differing set.
+func (c *StaticCheck) compare(far fabric.FAR) {
+	i, err := c.cm.Device().FrameIndex(far)
+	if err != nil {
+		panic(err) // far comes from the device's own frame walk
+	}
+	differs := !c.cm.StaticWordsEqual(c.baseline, far, c.regions...)
+	if differs != c.differs[i] {
+		c.differs[i] = differs
+		if differs {
+			c.bad++
+		} else {
+			c.bad--
+		}
+	}
 }
 
 // entry is one registered module.
@@ -108,11 +144,10 @@ type diffKey struct{ from, to string }
 
 // Manager is the run-time reconfiguration manager of one dynamic area.
 type Manager struct {
-	cfg        Config
-	modules    map[string]*entry
-	byHash     map[uint64]*entry
-	current    string
-	staticHash uint64
+	cfg     Config
+	modules map[string]*entry
+	byHash  map[uint64]*entry
+	current string
 
 	// residentOK marks the tracked resident state as authoritative: the
 	// region's content hash matched a registered module (or the blank
@@ -156,6 +191,8 @@ type Manager struct {
 	// static-design corruption, which is sticky by design.
 	spans          []region.Span
 	bandLo, bandHi int
+	// frame is the readback buffer of readbackCRC.
+	frame []uint32
 	// goldenCRC is the readback CRC over the span frames as of the last
 	// verified configuration; valid exactly while residentOK holds.
 	goldenCRC      uint16
@@ -189,15 +226,22 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:          cfg,
 		modules:      make(map[string]*entry),
 		byHash:       make(map[uint64]*entry),
-		staticHash:   cfg.Baseline.StaticHash(cfg.AllRegions...),
 		baselineHash: cfg.Baseline.RegionHash(cfg.Region),
 		diffs:        make(map[diffKey]*bitlinker.Result),
 		zdiffs:       make(map[diffKey]*bitstream.Compressed),
 		zfulls:       make(map[string]*bitstream.Compressed),
 		residentOK:   true, // the initial full configuration leaves the region blank
 	}
+	if m.cfg.StaticCheck == nil {
+		check, err := NewStaticCheck(cfg.ConfigMem, cfg.Baseline, cfg.AllRegions)
+		if err != nil {
+			return nil, err
+		}
+		m.cfg.StaticCheck = check
+	}
 	m.lastHash = m.baselineHash
 	m.spans = region.Spans(cfg.Device, cfg.Region)
+	m.frame = make([]uint32, cfg.Device.FrameLen())
 	m.bandLo, m.bandHi = cfg.Device.RowWordRange(cfg.Region.Row0, cfg.Region.H)
 	m.goldenCRC = m.readbackCRC()
 	cfg.Loader.OnDone(m.rebind)
@@ -747,7 +791,7 @@ func (m *Manager) rebind() {
 		// region's binding, but never skip the static-design check — a
 		// naively assembled stream can zero static rows while reproducing
 		// the resident band content exactly.
-		if m.liveStaticHash() != m.staticHash {
+		if !m.cfg.StaticCheck.Intact() {
 			m.corrupted = true
 		}
 		return
@@ -774,7 +818,7 @@ func (m *Manager) rebind() {
 		m.demote("unverified")
 		m.cfg.Bind(hw.NewBrokenCore(h))
 	}
-	if m.liveStaticHash() != m.staticHash {
+	if !m.cfg.StaticCheck.Intact() {
 		m.corrupted = true
 	}
 }
@@ -788,14 +832,15 @@ func (m *Manager) readbackCRC() uint16 {
 	for _, sp := range m.spans {
 		for fi := sp.Lo; fi < sp.Hi; fi++ {
 			far, err := m.cfg.Device.FARAt(fi)
-			if err != nil {
-				continue // unreachable: spans come from the same device
+			if err == nil {
+				err = m.cfg.ConfigMem.ReadFrameInto(m.frame, far)
 			}
-			f, err := m.cfg.ConfigMem.ReadFrame(far)
 			if err != nil {
-				continue
+				// Unreachable: spans come from the same device. Skipping
+				// the frame would blind the scrub to it.
+				panic(err)
 			}
-			crc = bitstream.FrameCRC(crc, f)
+			crc = bitstream.FrameCRC(crc, m.frame)
 		}
 	}
 	return crc
@@ -876,13 +921,4 @@ func (m *Manager) InjectFault(frame, word int, bit uint) error {
 	}
 	m.faultsInjected++
 	return nil
-}
-
-// liveStaticHash is the current static hash, through the shared memoizer
-// when the platform provided one.
-func (m *Manager) liveStaticHash() uint64 {
-	if m.cfg.StaticHashes != nil {
-		return m.cfg.StaticHashes.Hash()
-	}
-	return m.cfg.ConfigMem.StaticHash(m.cfg.AllRegions...)
 }

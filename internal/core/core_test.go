@@ -29,8 +29,12 @@ func (c *testCore) CyclesPerWord() int       { return 1 }
 // rig assembles a minimal platform around a manager: CPU, one bus, HWICAP.
 func rig(t *testing.T) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw.Core) {
 	t.Helper()
-	dev := fabric.XC2VP7()
-	region := fabric.DynamicRegion32()
+	return rigOn(t, fabric.XC2VP7(), fabric.DynamicRegion32())
+}
+
+// rigOn is rig for any device and region, docked by the 32-bit macro.
+func rigOn(t testing.TB, dev *fabric.Device, region fabric.Region) (*Manager, *fabric.ConfigMemory, fabric.Region, func() hw.Core) {
+	t.Helper()
 	cm := fabric.NewConfigMemory(dev)
 	baseline := cm.Clone()
 	loader := bitstream.NewLoader(cm)

@@ -315,27 +315,30 @@ func build(name string, is64 bool, tm Timing, fp region.Floorplan) (*System, err
 	// resident tracking are therefore per region, and a sibling's
 	// reconfiguration can neither demote this region's state nor read as
 	// static corruption (AllRegions excludes every dynamic area from the
-	// static hash).
-	staticHashes := core.NewStaticHasher(loader, s.CM, fp.Regions())
+	// shared static-design check).
+	staticCheck, err := core.NewStaticCheck(s.CM, baseline, fp.Regions())
+	if err != nil {
+		return nil, err
+	}
 	for _, rs := range s.regions {
 		asm, err := bitlinker.New(s.Dev, rs.area.R, baseline, rs.area.Macro)
 		if err != nil {
 			return nil, err
 		}
 		rs.mgr, err = core.NewManager(core.Config{
-			Device:       s.Dev,
-			Region:       rs.area.R,
-			AllRegions:   fp.Regions(),
-			ConfigMem:    s.CM,
-			Baseline:     baseline,
-			Assembler:    asm,
-			Loader:       loader,
-			CPU:          s.CPU,
-			ICAPBase:     AddrICAP,
-			ICAP:         s.ICAP,
-			Bind:         rs.bind,
-			Kernel:       s.K,
-			StaticHashes: staticHashes,
+			Device:      s.Dev,
+			Region:      rs.area.R,
+			AllRegions:  fp.Regions(),
+			ConfigMem:   s.CM,
+			Baseline:    baseline,
+			Assembler:   asm,
+			Loader:      loader,
+			CPU:         s.CPU,
+			ICAPBase:    AddrICAP,
+			ICAP:        s.ICAP,
+			Bind:        rs.bind,
+			Kernel:      s.K,
+			StaticCheck: staticCheck,
 		})
 		if err != nil {
 			return nil, err
