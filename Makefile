@@ -105,11 +105,13 @@ tracedemo:
 # wedging (CRC or state-machine error, never silent misconfiguration),
 # multi-region differentials must stay inside their region's frame spans,
 # damaged compressed containers must never decode to divergent frames, and
-# the table-driven CRC16 must equal the bit-serial one.
+# the table-driven CRC16 — one update and the four-word stream fold — must
+# equal the bit-serial one.
 fuzz:
 	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s ./internal/bitstream
-	go test -run '^$$' -fuzz FuzzCRC -fuzztime 10s ./internal/bitstream
+	go test -run '^$$' -fuzz '^FuzzCRC$$' -fuzztime 10s ./internal/bitstream
+	go test -run '^$$' -fuzz FuzzCRCStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s ./internal/plan
 
 # Multi-region smoke: the per-region hazard gate, sibling-region hits and
@@ -160,7 +162,8 @@ replay:
 
 # Go benchmark harness (paper tables, scheduler economics and per-layer
 # host cost: FrameCRC, LoaderLoad, StaticHash, Assemble,
-# AssembleDifferential, Scrub, StaticCheck). One iteration each, with
+# AssembleDifferential, Scrub, StaticCheck, the core load CPUStreamLoad
+# and the bus/icap store path ICAPStores). One iteration each, with
 # allocation counts.
 gobench:
 	go test -bench . -benchtime 1x -benchmem ./...

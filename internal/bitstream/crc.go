@@ -14,6 +14,17 @@ package bitstream
 // two CRC bytes, the four data bytes and the 5-bit address. crcUpdate
 // looks those seven images up in tables built from crcUpdateSerial at
 // package init, and the tests compare the two on random inputs.
+//
+// A stream folds four words per step by the same linearity. Write T for
+// the map of the CRC bytes, D for that of the data bytes and R for the
+// register image; one update is c' = T(c) ^ D(w) ^ R, so four are
+//
+//	c4 = T⁴(c) ^ T³D(w0) ^ T²D(w1) ^ TD(w2) ^ D(w3) ^ (T³R ^ T²R ^ TR ^ R).
+//
+// crcStream looks up T⁴ of the two CRC bytes and T^(3-j)∘D of every byte of
+// word j in tables built from the one-word tables, and computes the
+// register term once per stream. Only two lookups depend on the previous
+// step, where the one-word fold waits on its own result every word.
 
 const crcPoly uint32 = 0x8005
 
@@ -40,6 +51,9 @@ var (
 	crcTabCRC  [2][256]uint16 // image of CRC byte k (k=0 low)
 	crcTabData [4][256]uint16 // image of data byte k (k=0 low)
 	crcTabReg  [32]uint16     // image of the register address
+
+	crcTab4CRC  [2][256]uint16  // T⁴ of CRC byte k
+	crcTab4Data [16][256]uint16 // T^(3-j)∘D of data byte k of word j, at 4j+k
 )
 
 func init() {
@@ -54,6 +68,26 @@ func init() {
 	for r := range crcTabReg {
 		crcTabReg[r] = crcUpdateSerial(0, Reg(r), 0)
 	}
+	// The four-word tables apply T, the CRC part of one update, to the
+	// one-word images.
+	for b := 0; b < 256; b++ {
+		for k := range crcTabCRC {
+			crcTab4CRC[k][b] = crcPowT(uint16(b)<<(8*k), 4)
+		}
+		for j := 0; j < 4; j++ {
+			for k := 0; k < 4; k++ {
+				crcTab4Data[4*j+k][b] = crcPowT(crcTabData[k][b], 3-j)
+			}
+		}
+	}
+}
+
+// crcPowT applies T, the CRC part of one update, n times to c.
+func crcPowT(c uint16, n int) uint16 {
+	for ; n > 0; n-- {
+		c = crcWord(c, 0)
+	}
+	return c
 }
 
 // crcUpdate folds one (register, data) pair into the running CRC; it equals
@@ -70,9 +104,23 @@ func crcWord(crc uint16, data uint32) uint16 {
 		crcTabData[2][data>>16&0xFF] ^ crcTabData[3][data>>24]
 }
 
-// crcStream folds a sequence of data words written to one register.
+// crcStream folds a sequence of data words written to one register, four
+// words per step and the tail one at a time.
 func crcStream(crc uint16, reg Reg, words []uint32) uint16 {
 	r := crcTabReg[reg&0x1F]
+	r4 := r
+	for i := 0; i < 3; i++ {
+		r4 = crcPowT(r4, 1) ^ r // Horner: T³R ^ T²R ^ TR ^ R
+	}
+	d := &crcTab4Data
+	for ; len(words) >= 4; words = words[4:] {
+		w0, w1, w2, w3 := words[0], words[1], words[2], words[3]
+		crc = crcTab4CRC[0][crc&0xFF] ^ crcTab4CRC[1][crc>>8] ^ r4 ^
+			d[0][w0&0xFF] ^ d[1][w0>>8&0xFF] ^ d[2][w0>>16&0xFF] ^ d[3][w0>>24] ^
+			d[4][w1&0xFF] ^ d[5][w1>>8&0xFF] ^ d[6][w1>>16&0xFF] ^ d[7][w1>>24] ^
+			d[8][w2&0xFF] ^ d[9][w2>>8&0xFF] ^ d[10][w2>>16&0xFF] ^ d[11][w2>>24] ^
+			d[12][w3&0xFF] ^ d[13][w3>>8&0xFF] ^ d[14][w3>>16&0xFF] ^ d[15][w3>>24]
+	}
 	for _, w := range words {
 		crc = crcWord(crc, w) ^ r
 	}

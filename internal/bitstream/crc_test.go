@@ -1,6 +1,8 @@
 package bitstream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -46,6 +48,45 @@ func TestCRCStreamMatchesSerial(t *testing.T) {
 	if got := FrameCRC(0xBEEF, nil); got != 0xBEEF {
 		t.Fatalf("FrameCRC of the empty stream = %#04x, want the running value", got)
 	}
+}
+
+// TestCRCStreamTails pins every tail length of the four-word fold: every
+// stream length 0-16 under every register value 0-63, with random running
+// CRCs and words, against the serial fold.
+func TestCRCStreamTails(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	words := make([]uint32, 16)
+	for n := 0; n <= len(words); n++ {
+		for reg := Reg(0); reg < 64; reg++ {
+			for trial := 0; trial < 8; trial++ {
+				for i := range words[:n] {
+					words[i] = rng.Uint32()
+				}
+				crc := uint16(rng.Uint32())
+				if got, want := crcStream(crc, reg, words[:n]), serialStream(crc, reg, words[:n]); got != want {
+					t.Fatalf("crcStream(%#04x, %d, %d words) = %#04x, serial %#04x", crc, reg, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCRCStream asserts that the four-word stream fold equals the serial
+// fold for any stream: the fuzz bytes are the words, big-endian, with any
+// trailing partial word dropped.
+func FuzzCRCStream(f *testing.F) {
+	f.Add(uint16(0), uint8(RegFDRI), []byte{})
+	f.Add(uint16(0xFFFF), uint8(63), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 1})
+	f.Add(uint16(0x8005), uint8(RegFAR), bytes.Repeat([]byte{0xAA, 0x99, 0x55, 0x66}, 9))
+	f.Fuzz(func(t *testing.T, crc uint16, reg uint8, data []byte) {
+		words := make([]uint32, len(data)/4)
+		for i := range words {
+			words[i] = binary.BigEndian.Uint32(data[4*i:])
+		}
+		if got, want := crcStream(crc, Reg(reg), words), serialStream(crc, Reg(reg), words); got != want {
+			t.Fatalf("crcStream(%#04x, %d, %d words) = %#04x, serial %#04x", crc, reg, len(words), got, want)
+		}
+	})
 }
 
 // FuzzCRC asserts that the table-driven update equals the bit-serial one.

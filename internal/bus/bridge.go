@@ -25,6 +25,12 @@ type Bridge struct {
 	posted []uint64
 	reads  uint64
 	writes uint64
+
+	// port is the OPB write path resolved for the bridge-relative address
+	// portAddr (none yet while port.b is nil). A stream of writes to one
+	// device register reuses it; another address or size re-resolves.
+	port     Port
+	portAddr uint32
 }
 
 // NewBridge returns a bridge forwarding to opb. plb is the bus the bridge
@@ -41,19 +47,20 @@ func NewBridge(plb, opb *Bus, base uint32, requestCycles, postDepth int) *Bridge
 // Name implements Slave.
 func (br *Bridge) Name() string { return "plb2opb-bridge" }
 
-// Stats reports forwarded transaction counts.
+// Stats reports forwarded transaction counts: the 32-bit OPB transfers, so a
+// split 64-bit access counts two.
 func (br *Bridge) Stats() (reads, writes uint64) { return br.reads, br.writes }
 
 // Read implements Slave: the PLB-side wait states cover the complete OPB
 // transaction plus bridge overhead.
 func (br *Bridge) Read(addr uint32, size int) (uint64, int) {
-	br.reads++
 	if size > 4 {
 		// The bridge narrows 64-bit requests into two OPB transfers.
 		lo, w1 := br.Read(addr, 4)
 		hi, w2 := br.Read(addr+4, 4)
 		return lo<<32 | hi, w1 + w2 // big-endian: low address is high half
 	}
+	br.reads++
 	// A read must first drain posted writes (ordering).
 	drain := br.drainTime()
 	v, d, err := br.opb.readTransact(br.base+addr, size)
@@ -69,17 +76,20 @@ func (br *Bridge) Read(addr uint32, size int) (uint64, int) {
 
 // Write implements Slave with posted-write semantics.
 func (br *Bridge) Write(addr uint32, val uint64, size int) int {
-	br.writes++
 	if size > 4 {
 		w1 := br.Write(addr, val>>32, 4)
 		w2 := br.Write(addr+4, val&0xFFFFFFFF, 4)
 		return w1 + w2
 	}
-	d, err := br.opb.writeTransact(br.base+addr, val, size)
-	if err != nil {
-		return br.RequestCycles
+	br.writes++
+	if br.port.b == nil || addr != br.portAddr || size != br.port.size {
+		p, err := br.opb.WritePort(br.base+addr, size)
+		if err != nil {
+			return br.RequestCycles
+		}
+		br.port, br.portAddr = p, addr
 	}
-	_, done := br.opb.res.Acquire(d)
+	done := br.port.posted(val)
 	br.reapPosted()
 	stall := 0
 	if len(br.posted) >= br.PostDepth {

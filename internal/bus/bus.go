@@ -164,14 +164,59 @@ func (b *Bus) readTransact(addr uint32, size int) (uint64, sim.Time, error) {
 	return v, b.clk.Cycles(uint64(cycles)), nil
 }
 
+// Port is a write path resolved once for one address and access size: the
+// size check, the address decode and the fixed protocol cycles are done by
+// WritePort, so each write through the port pays only the slave access and
+// the bus occupancy. Mappings never overlap and are fixed after build, so a
+// port never goes stale. A Port is a value, so resolving one allocates
+// nothing; its methods take a pointer only so a write does not copy it.
+type Port struct {
+	b     *Bus
+	s     Slave
+	off   uint32
+	size  int
+	fixed int // ArbCycles + WriteExtra + beats*BeatCycles
+}
+
+// WritePort resolves the write path for size-byte accesses at addr.
+func (b *Bus) WritePort(addr uint32, size int) (Port, error) {
+	if err := b.checkSize(size); err != nil {
+		return Port{}, err
+	}
+	s, off, err := b.decode(addr)
+	if err != nil {
+		return Port{}, err
+	}
+	return Port{b: b, s: s, off: off, size: size,
+		fixed: b.p.ArbCycles + b.p.WriteExtra + b.beats(size)*b.p.BeatCycles}, nil
+}
+
+// transact performs the functional write and returns the transaction's
+// duration: the one write-transaction arithmetic of the package.
+func (p *Port) transact(val uint64) sim.Time {
+	waits := p.s.Write(p.off, val, p.size)
+	p.b.writes++
+	return p.b.clk.Cycles(uint64(p.fixed + waits))
+}
+
+// posted performs the write and occupies the bus in the background,
+// returning the completion time without advancing the kernel.
+func (p *Port) posted(val uint64) sim.Time {
+	_, done := p.b.res.Acquire(p.transact(val))
+	return done
+}
+
+// Write performs a blocking single write through the port: the caller is
+// stalled for the queueing delay plus the transaction.
+func (p *Port) Write(val uint64) { p.b.k.AdvanceTo(p.posted(val)) }
+
 // Write performs a blocking single write.
 func (b *Bus) Write(addr uint32, val uint64, size int) error {
-	d, err := b.writeTransact(addr, val, size)
+	p, err := b.WritePort(addr, size)
 	if err != nil {
 		return err
 	}
-	_, done := b.res.Acquire(d)
-	b.k.AdvanceTo(done)
+	p.Write(val)
 	return nil
 }
 
@@ -179,26 +224,11 @@ func (b *Bus) Write(addr uint32, val uint64, size int) error {
 // in the background, returning the completion time without advancing the
 // kernel. CPU write buffers and the bridge's posted writes use it.
 func (b *Bus) WritePosted(addr uint32, val uint64, size int) (sim.Time, error) {
-	d, err := b.writeTransact(addr, val, size)
+	p, err := b.WritePort(addr, size)
 	if err != nil {
 		return 0, err
 	}
-	_, done := b.res.Acquire(d)
-	return done, nil
-}
-
-func (b *Bus) writeTransact(addr uint32, val uint64, size int) (sim.Time, error) {
-	if err := b.checkSize(size); err != nil {
-		return 0, err
-	}
-	s, off, err := b.decode(addr)
-	if err != nil {
-		return 0, err
-	}
-	waits := s.Write(off, val, size)
-	cycles := b.p.ArbCycles + waits + b.p.WriteExtra + b.beats(size)*b.p.BeatCycles
-	b.writes++
-	return b.clk.Cycles(uint64(cycles)), nil
+	return p.posted(val), nil
 }
 
 // BurstRead performs a functional+timed burst read of beats bus-width beats

@@ -318,3 +318,114 @@ func TestBridge64BitSplit(t *testing.T) {
 		t.Fatalf("64-bit bridged roundtrip = %#x", v)
 	}
 }
+
+// A split 64-bit access counts as the two 32-bit transfers the bridge
+// forwards, on the bridge and on the OPB alike.
+func TestBridgeCountsForwardedTransfers(t *testing.T) {
+	k := sim.NewKernel()
+	clk := sim.NewClock("c", 50_000_000)
+	plb := New("plb", k, clk, 8, Params{ArbCycles: 2, ReadExtra: 2, BeatCycles: 1})
+	opb := New("opb", k, clk, 4, Params{ArbCycles: 2, ReadExtra: 1, BeatCycles: 1})
+	if err := opb.Map(0, 1<<20, memctl.NewSRAM()); err != nil {
+		t.Fatal(err)
+	}
+	br := NewBridge(plb, opb, 0, 1, 2)
+	if err := plb.Map(0x2000_0000, 1<<20, br); err != nil {
+		t.Fatal(err)
+	}
+	if err := plb.Write(0x2000_0000, 0x1122334455667788, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plb.Read(0x2000_0000, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := plb.Write(0x2000_0010, 9, 4); err != nil {
+		t.Fatal(err)
+	}
+	if rd, wr := br.Stats(); rd != 2 || wr != 3 {
+		t.Fatalf("bridge counts reads=%d writes=%d, want 2/3", rd, wr)
+	}
+	if rd, wr, _ := opb.Stats(); rd != 2 || wr != 3 {
+		t.Fatalf("opb counts reads=%d writes=%d, want 2/3", rd, wr)
+	}
+}
+
+// A resolved port writes exactly as Bus.Write does: same data, same
+// timeline, same counts and occupancy.
+func TestWritePortMatchesWrite(t *testing.T) {
+	type rig struct {
+		k *sim.Kernel
+		b *Bus
+	}
+	mk := func() rig {
+		k := sim.NewKernel()
+		b := New("opb", k, sim.NewClock("c", 50_000_000), 4, Params{ArbCycles: 2, WriteExtra: 1, BeatCycles: 1})
+		if err := b.Map(0x1000, 1<<20, memctl.NewSRAM()); err != nil {
+			t.Fatal(err)
+		}
+		return rig{k, b}
+	}
+	a, p := mk(), mk()
+	for _, size := range []int{1, 2, 4} {
+		addr := uint32(0x1000 + 8*size)
+		port, err := p.b.WritePort(addr, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := a.b.Write(addr, uint64(0xA0+i), size); err != nil {
+				t.Fatal(err)
+			}
+			port.Write(uint64(0xA0 + i))
+			if a.k.Now() != p.k.Now() {
+				t.Fatalf("size %d write %d: port at %v, Bus.Write at %v", size, i, p.k.Now(), a.k.Now())
+			}
+		}
+		va, _ := a.b.Peek(addr, size)
+		vp, _ := p.b.Peek(addr, size)
+		if va != vp {
+			t.Fatalf("size %d: port wrote %#x, Bus.Write %#x", size, vp, va)
+		}
+	}
+	ar, aw, _ := a.b.Stats()
+	pr, pw, _ := p.b.Stats()
+	if ar != pr || aw != pw || a.b.Utilization() != p.b.Utilization() {
+		t.Fatalf("port stats %d/%d util %v, Bus.Write %d/%d util %v", pr, pw, p.b.Utilization(), ar, aw, a.b.Utilization())
+	}
+	if _, err := p.b.WritePort(0x1000, 8); err == nil {
+		t.Fatal("64-bit port on a 32-bit bus resolved")
+	}
+	if _, err := p.b.WritePort(0x10, 4); err == nil {
+		t.Fatal("port at an unmapped address resolved")
+	}
+}
+
+// The bridge's cached OPB port follows both the address and the access
+// size: a byte store to the address of a previous word store writes one
+// byte, and a store to another address lands there.
+func TestBridgePortFollowsAddressAndSize(t *testing.T) {
+	k := sim.NewKernel()
+	clk := sim.NewClock("c", 50_000_000)
+	plb := New("plb", k, clk, 8, Params{ArbCycles: 2, ReadExtra: 2, BeatCycles: 1})
+	opb := New("opb", k, clk, 4, Params{ArbCycles: 2, ReadExtra: 1, BeatCycles: 1})
+	if err := opb.Map(0, 1<<20, memctl.NewSRAM()); err != nil {
+		t.Fatal(err)
+	}
+	if err := plb.Map(0x2000_0000, 1<<20, NewBridge(plb, opb, 0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		addr uint32
+		val  uint64
+		size int
+	}{{0x10, 0x11223344, 4}, {0x10, 0xAB, 1}, {0x14, 0x55667788, 4}, {0x16, 0xCDEF, 2}} {
+		if err := plb.Write(0x2000_0000+w.addr, w.val, w.size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for addr, want := range map[uint32]uint64{0x10: 0xAB223344, 0x14: 0x5566CDEF} {
+		if v, err := plb.Read(0x2000_0000+addr, 4); err != nil || v != want {
+			t.Fatalf("word at %#x = %#x (err %v), want %#x", addr, v, err, want)
+		}
+	}
+}

@@ -713,12 +713,12 @@ func (m *Manager) stream(s *bitstream.Stream, kind plan.StreamKind) (sim.Time, e
 }
 
 // streamAbortable is the CPU load path: it stores the words into the
-// HWICAP write FIFO, polling stop at chunk boundaries, then spins on the
-// status register until the sequence completes. A compressed container
-// streams with the HWICAP's decoder front-end armed for the duration: wire
-// bytes are what software stored and what the byte counters book, while
-// the port time is bound by the decoded words the armed HWICAP charges per
-// expansion.
+// HWICAP write FIFO in abortCheckWords chunks, polling stop between chunks,
+// then spins on the status register until the sequence completes. A
+// compressed container streams with the HWICAP's decoder front-end armed
+// for the duration: wire bytes are what software stored and what the byte
+// counters book, while the port time is bound by the decoded words the
+// armed HWICAP charges per expansion.
 //
 // An aborted stream resets the configuration logic (so the next load finds
 // the packet state machine at power-up, as a real HWICAP abort does — the
@@ -738,8 +738,8 @@ func (m *Manager) streamAbortable(words []uint32, kind plan.StreamKind, stop fun
 	if compressed {
 		m.cfg.ICAP.ArmDecoder()
 	}
-	for i, w := range words {
-		if stop != nil && i > 0 && i%abortCheckWords == 0 && stop() {
+	for i := 0; i < len(words); i += abortCheckWords {
+		if stop != nil && i > 0 && stop() {
 			c.SW(m.cfg.ICAPBase+icap.RegControl, icap.CtrlReset)
 			c.Sync()
 			elapsed := m.cfg.Kernel.Now() - start
@@ -747,7 +747,7 @@ func (m *Manager) streamAbortable(words []uint32, kind plan.StreamKind, stop fun
 			m.demote("abort")
 			return elapsed, 4 * i, ErrAborted
 		}
-		c.SW(m.cfg.ICAPBase+icap.RegWriteFIFO, w)
+		c.SWs(m.cfg.ICAPBase+icap.RegWriteFIFO, words[i:min(i+abortCheckWords, len(words))])
 	}
 	c.Sync()
 	// Poll the status register until the engine reports done or error.

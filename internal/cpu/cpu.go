@@ -294,6 +294,28 @@ func (c *CPU) LB(addr uint32) uint8 { return uint8(c.load(addr, 1)) }
 // SW stores a 32-bit word.
 func (c *CPU) SW(addr uint32, v uint32) { c.store(addr, v, 4) }
 
+// SWs stores words to addr in order, exactly as a loop of SW would: one
+// store instruction per word, each blocking or posting as SW does. It is
+// the software loop that pushes a configuration stream into a device FIFO;
+// for a guarded, uncached address the bus write path is resolved once per
+// call instead of once per word.
+func (c *CPU) SWs(addr uint32, words []uint32) {
+	if !c.cacheable(addr) && (c.p.WBufDepth == 0 || c.guarded(addr)) {
+		if port, err := c.bus.WritePort(addr, 4); err == nil {
+			for _, w := range words {
+				c.stats.Stores++
+				c.tick(c.p.StoreCycles)
+				port.Write(uint64(w))
+			}
+			return
+		}
+	}
+	// Cached and posted stores, and bus errors, take the per-word path.
+	for _, w := range words {
+		c.store(addr, w, 4)
+	}
+}
+
 // SH stores a 16-bit halfword.
 func (c *CPU) SH(addr uint32, v uint16) { c.store(addr, uint32(v), 2) }
 

@@ -306,3 +306,59 @@ func TestDCacheGeometryPanics(t *testing.T) {
 	}()
 	newDCache(1000, 3, 32)
 }
+
+// SWs must be indistinguishable from a loop of SW on every kind of
+// address: cached, posted through the write buffer, and guarded (blocking,
+// through a resolved bus port) — the same data, timeline, statistics and
+// bus accounting, with due events firing between the same words.
+func TestSWsMatchesSWLoop(t *testing.T) {
+	words := make([]uint32, 300)
+	for i := range words {
+		words[i] = uint32(i)*0x9E3779B9 + 1
+	}
+	for _, tc := range []struct {
+		name    string
+		addr    uint32
+		guarded bool
+	}{
+		{"cached", 0x100, false},
+		{"posted", 0x8_0000, false},
+		{"guarded", 0x8_0000, true},
+	} {
+		run := func(slice bool) (sim.Time, Stats, [3]uint64, []sim.Time, uint64) {
+			k, c, mem := rig(true)
+			if tc.guarded {
+				c.MapGuarded(0x8_0000, 0x1000)
+			}
+			var fired []sim.Time
+			for i := 1; i <= 5; i++ {
+				k.Schedule(sim.Time(i)*700*sim.Nanosecond, func() { fired = append(fired, k.Now()) })
+			}
+			if slice {
+				c.SWs(tc.addr, words[:0])
+				c.SWs(tc.addr, words)
+			} else {
+				for _, w := range words {
+					c.SW(tc.addr, w)
+				}
+			}
+			c.Sync()
+			r, w, b := c.bus.Stats()
+			return k.Now(), c.Stats(), [3]uint64{r, w, b}, fired, mem.PeekBE(tc.addr, 4)
+		}
+		nowL, statsL, busL, firedL, memL := run(false)
+		nowS, statsS, busS, firedS, memS := run(true)
+		if nowL != nowS || statsL != statsS || busL != busS || memL != memS {
+			t.Fatalf("%s: SWs now=%v stats=%+v bus=%v mem=%#x; SW loop now=%v stats=%+v bus=%v mem=%#x",
+				tc.name, nowS, statsS, busS, memS, nowL, statsL, busL, memL)
+		}
+		if len(firedL) != len(firedS) {
+			t.Fatalf("%s: %d events fired under SWs, %d under the SW loop", tc.name, len(firedS), len(firedL))
+		}
+		for i := range firedL {
+			if firedL[i] != firedS[i] {
+				t.Fatalf("%s: event %d fired at %v under SWs, %v under the SW loop", tc.name, i, firedS[i], firedL[i])
+			}
+		}
+	}
+}
