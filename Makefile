@@ -106,13 +106,15 @@ tracedemo:
 # multi-region differentials must stay inside their region's frame spans,
 # damaged compressed containers must never decode to divergent frames, and
 # the table-driven CRC16 — one update and the four-word stream fold — must
-# equal the bit-serial one.
+# equal the bit-serial one, and page-local memory access must equal a
+# byte-at-a-time model.
 fuzz:
 	go test -run '^$$' -fuzz FuzzLoaderDifferentialStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCompressedStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz '^FuzzCRC$$' -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzCRCStream -fuzztime 10s ./internal/bitstream
 	go test -run '^$$' -fuzz FuzzRegionPlanner -fuzztime 10s ./internal/plan
+	go test -run '^$$' -fuzz FuzzMemoryAccess -fuzztime 10s ./internal/memctl
 
 # Multi-region smoke: the per-region hazard gate, sibling-region hits and
 # speculative byte conservation under the race detector.
@@ -162,8 +164,9 @@ replay:
 
 # Go benchmark harness (paper tables, scheduler economics and per-layer
 # host cost: FrameCRC, LoaderLoad, StaticHash, Assemble,
-# AssembleDifferential, Scrub, StaticCheck, the core load CPUStreamLoad
-# and the bus/icap store path ICAPStores). One iteration each, with
+# AssembleDifferential, Scrub, StaticCheck, the core load CPUStreamLoad,
+# the bus/icap store path ICAPStores, and the all-hit serve path:
+# JenkinsHit, UncachedLW and RunnerData). One iteration each, with
 # allocation counts.
 gobench:
 	go test -bench . -benchtime 1x -benchmem ./...

@@ -58,7 +58,10 @@ type Bus struct {
 	width int // bytes per beat: 4 (OPB) or 8 (PLB)
 	p     Params
 	maps  []mapping
-	res   *sim.Resource
+	// last indexes the mapping the previous decode hit: a stream of
+	// accesses to one slave decodes with one range check.
+	last int
+	res  *sim.Resource
 
 	reads, writes, bursts uint64
 }
@@ -103,17 +106,26 @@ func (b *Bus) Map(base, size uint32, s Slave) error {
 	return nil
 }
 
-// decode finds the slave owning addr.
+// decode finds the slave owning addr, trying the mapping the last decode
+// hit first. Mappings never overlap and are fixed after build, so that
+// answer is the scan's.
 func (b *Bus) decode(addr uint32) (Slave, uint32, error) {
-	for _, m := range b.maps {
+	if b.last < len(b.maps) {
+		if m := &b.maps[b.last]; addr >= m.base && addr-m.base < m.size {
+			return m.slave, addr - m.base, nil
+		}
+	}
+	for i, m := range b.maps {
 		if addr >= m.base && addr-m.base < m.size {
+			b.last = i
 			return m.slave, addr - m.base, nil
 		}
 	}
 	return nil, 0, fmt.Errorf("bus %s: no slave at address %#08x (bus error)", b.name, addr)
 }
 
-// checkSize validates an access size against the bus width.
+// checkSize validates an access size against the bus width. No size it
+// admits is wider than the bus, so a single access is one data beat.
 func (b *Bus) checkSize(size int) error {
 	switch size {
 	case 1, 2, 4:
@@ -126,15 +138,6 @@ func (b *Bus) checkSize(size int) error {
 	default:
 		return fmt.Errorf("bus %s: unsupported access size %d", b.name, size)
 	}
-}
-
-// beats returns the number of data beats for size bytes.
-func (b *Bus) beats(size int) int {
-	n := (size + b.width - 1) / b.width
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Read performs a blocking single read: the caller (the CPU) is stalled for
@@ -159,7 +162,7 @@ func (b *Bus) readTransact(addr uint32, size int) (uint64, sim.Time, error) {
 		return 0, 0, err
 	}
 	v, waits := s.Read(off, size)
-	cycles := b.p.ArbCycles + waits + b.p.ReadExtra + b.beats(size)*b.p.BeatCycles
+	cycles := b.p.ArbCycles + waits + b.p.ReadExtra + b.p.BeatCycles
 	b.reads++
 	return v, b.clk.Cycles(uint64(cycles)), nil
 }
@@ -175,7 +178,7 @@ type Port struct {
 	s     Slave
 	off   uint32
 	size  int
-	fixed int // ArbCycles + WriteExtra + beats*BeatCycles
+	fixed int // ArbCycles + WriteExtra + BeatCycles (one beat)
 }
 
 // WritePort resolves the write path for size-byte accesses at addr.
@@ -188,7 +191,7 @@ func (b *Bus) WritePort(addr uint32, size int) (Port, error) {
 		return Port{}, err
 	}
 	return Port{b: b, s: s, off: off, size: size,
-		fixed: b.p.ArbCycles + b.p.WriteExtra + b.beats(size)*b.p.BeatCycles}, nil
+		fixed: b.p.ArbCycles + b.p.WriteExtra + b.p.BeatCycles}, nil
 }
 
 // transact performs the functional write and returns the transaction's

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/memctl"
@@ -426,6 +427,61 @@ func TestBridgePortFollowsAddressAndSize(t *testing.T) {
 	for addr, want := range map[uint32]uint64{0x10: 0xAB223344, 0x14: 0x5566CDEF} {
 		if v, err := plb.Read(0x2000_0000+addr, 4); err != nil || v != want {
 			t.Fatalf("word at %#x = %#x (err %v), want %#x", addr, v, err, want)
+		}
+	}
+}
+
+// The last-hit decode answers exactly as a linear scan of the address map
+// does, for random and alternating addresses over several slaves, in the
+// gaps between them and past the end.
+func TestDecodeLastHitMatchesScan(t *testing.T) {
+	b := testBus(sim.NewKernel(), 4)
+	for _, m := range []struct{ base, size uint32 }{
+		{0x0000_0000, 0x1000}, {0x0000_1000, 0x10}, {0x2000_0000, 1 << 20}, {0x8000_0000, 4}, {0xFFFF_F000, 0x1000},
+	} {
+		if err := b.Map(m.base, m.size, memctl.NewBRAM(int(m.size))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(addr uint32) (Slave, uint32, bool) {
+		for _, m := range b.maps {
+			if addr >= m.base && addr-m.base < m.size {
+				return m.slave, addr - m.base, true
+			}
+		}
+		return nil, 0, false
+	}
+	check := func(addr uint32) {
+		t.Helper()
+		s, off, err := b.decode(addr)
+		ws, woff, ok := scan(addr)
+		if s != ws || off != woff || (err == nil) != ok {
+			t.Fatalf("decode(%#x) = %v+%#x err %v; scan %v+%#x mapped %v", addr, s, off, err, ws, woff, ok)
+		}
+	}
+	// Each mapping's edges, the addresses either side of them, and
+	// alternation between neighbours so the last hit is always stale.
+	var edges []uint32
+	for _, m := range b.maps {
+		edges = append(edges, m.base-1, m.base, m.base+1, m.base+m.size-1, m.base+m.size)
+	}
+	for _, a := range edges {
+		for _, c := range edges {
+			check(a)
+			check(c)
+			check(a)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		switch i % 3 {
+		case 0:
+			check(rng.Uint32())
+		case 1:
+			check(edges[rng.Intn(len(edges))])
+		default:
+			m := b.maps[rng.Intn(len(b.maps))]
+			check(m.base + uint32(rng.Int63n(int64(m.size)+2)))
 		}
 	}
 }

@@ -93,6 +93,15 @@ type CPU struct {
 	guard []RegionAttr
 	wbuf  []sim.Time
 
+	// port is the bus write path resolved for blocking stores of portSize
+	// bytes to portAddr (none yet while portSize is 0). A driver storing
+	// to one device register reuses it; another address or size
+	// re-resolves. Bus mappings are fixed after build, so it never goes
+	// stale.
+	port     bus.Port
+	portAddr uint32
+	portSize int
+
 	stats Stats
 }
 
@@ -228,9 +237,14 @@ func (c *CPU) store(addr uint32, val uint32, size int) {
 		c.postedWrite(addr, val, size)
 		return
 	}
-	if err := c.bus.Write(addr, uint64(val), size); err != nil {
-		panic(fmt.Sprintf("cpu: store %#x: %v", addr, err))
+	if addr != c.portAddr || size != c.portSize {
+		p, err := c.bus.WritePort(addr, size)
+		if err != nil {
+			panic(fmt.Sprintf("cpu: store %#x: %v", addr, err))
+		}
+		c.port, c.portAddr, c.portSize = p, addr, size
 	}
+	c.port.Write(uint64(val))
 }
 
 // postedWrite sends an uncached store through the write buffer: the

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -360,5 +361,52 @@ func TestSWsMatchesSWLoop(t *testing.T) {
 				t.Fatalf("%s: event %d fired at %v under SWs, %v under the SW loop", tc.name, i, firedS[i], firedL[i])
 			}
 		}
+	}
+}
+
+// A blocking store through the CPU's cached bus port is indistinguishable
+// from Bus.Write: mixed guarded addresses and sizes, interleaved with
+// posted stores, leave the same timeline, core and bus statistics, bus
+// occupancy and memory contents as an oracle that resolves every store.
+func TestGuardedStorePortMatchesBusWrite(t *testing.T) {
+	type access struct {
+		addr uint32
+		size int
+	}
+	seq := []access{
+		{0x8_0000, 4}, {0x8_0000, 4}, {0x8_0000, 1}, {0x8_0000, 4}, {0x8_0004, 4},
+		{0x8_0006, 2}, {0x8_0006, 2}, {0x4_0000, 4}, {0x8_0004, 4}, {0x8_0FFF, 1},
+		{0x8_0000, 2}, {0x4_0010, 1}, {0x8_0000, 4},
+	}
+	run := func(oracle bool) (sim.Time, Stats, [3]uint64, float64, []byte) {
+		k, c, mem := rig(false)
+		c.MapGuarded(0x8_0000, 0x1000)
+		for i := 0; i < 40; i++ {
+			a := seq[i%len(seq)]
+			val := uint32(i)*0x9E3779B9 + 7
+			if oracle && c.guarded(a.addr) {
+				c.stats.Stores++
+				c.tick(c.p.StoreCycles)
+				if err := c.bus.Write(a.addr, uint64(val), a.size); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			c.store(a.addr, val, a.size)
+		}
+		c.Sync()
+		r, w, b := c.bus.Stats()
+		guarded, _ := mem.ReadBytes(0x8_0000, 0x1000)
+		posted, _ := mem.ReadBytes(0x4_0000, 0x20)
+		return k.Now(), c.Stats(), [3]uint64{r, w, b}, c.bus.Utilization(), append(guarded, posted...)
+	}
+	nowO, statsO, busO, utilO, memO := run(true)
+	nowP, statsP, busP, utilP, memP := run(false)
+	if nowO != nowP || statsO != statsP || busO != busP || utilO != utilP {
+		t.Fatalf("port now=%v stats=%+v bus=%v util=%v; Bus.Write now=%v stats=%+v bus=%v util=%v",
+			nowP, statsP, busP, utilP, nowO, statsO, busO, utilO)
+	}
+	if !bytes.Equal(memO, memP) {
+		t.Fatal("port stores left different memory contents than Bus.Write")
 	}
 }

@@ -123,49 +123,79 @@ func (m *Memory) BurstWaits(addr uint32, beats int, write bool) int {
 }
 
 // PeekBE reads big-endian without timing effects. Out-of-range reads return
-// all ones (floating bus).
+// all ones (floating bus). An access inside one page costs one page lookup;
+// only one that straddles a page boundary goes byte by byte.
 func (m *Memory) PeekBE(addr uint32, size int) uint64 {
 	if int(addr)+size > m.size {
 		return ^uint64(0)
 	}
 	var v uint64
-	for i := 0; i < size; i++ {
-		v = v<<8 | uint64(m.byteAt(addr+uint32(i)))
+	off := int(addr & (pageSize - 1))
+	if off+size > pageSize {
+		for i := 0; i < size; i++ {
+			v = v<<8 | uint64(m.byteAt(addr+uint32(i)))
+		}
+		return v
+	}
+	p := m.pages[addr>>pageBits]
+	if p == nil {
+		return 0
+	}
+	for _, b := range p[off : off+size] {
+		v = v<<8 | uint64(b)
 	}
 	return v
 }
 
 // PokeBE writes big-endian without timing effects. Out-of-range writes are
-// dropped.
+// dropped. Like PeekBE it goes byte by byte only across a page boundary.
 func (m *Memory) PokeBE(addr uint32, val uint64, size int) {
-	if int(addr)+size > m.size {
+	if size <= 0 || int(addr)+size > m.size {
 		return
 	}
+	off := int(addr & (pageSize - 1))
+	if off+size > pageSize {
+		for i := size - 1; i >= 0; i-- {
+			m.setByte(addr+uint32(i), byte(val))
+			val >>= 8
+		}
+		return
+	}
+	p := m.page(addr, true)[off : off+size]
 	for i := size - 1; i >= 0; i-- {
-		m.setByte(addr+uint32(i), byte(val))
+		p[i] = byte(val)
 		val >>= 8
 	}
 }
 
-// LoadBytes copies raw bytes into memory at addr (test/program loading).
+// LoadBytes copies raw bytes into memory at addr (test/program loading),
+// one page-sized chunk at a time.
 func (m *Memory) LoadBytes(addr uint32, data []byte) error {
 	if int(addr)+len(data) > m.size {
 		return fmt.Errorf("memctl: %s: load of %d bytes at %#x out of range", m.name, len(data), addr)
 	}
-	for i, b := range data {
-		m.setByte(addr+uint32(i), b)
+	for len(data) > 0 {
+		n := copy(m.page(addr, true)[addr&(pageSize-1):], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 	return nil
 }
 
-// ReadBytes copies size raw bytes out of memory at addr.
+// ReadBytes copies size raw bytes out of memory at addr, one page-sized
+// chunk at a time; untouched pages read as zero and stay unallocated.
 func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 	if int(addr)+size > m.size {
 		return nil, fmt.Errorf("memctl: %s: read of %d bytes at %#x out of range", m.name, size, addr)
 	}
 	out := make([]byte, size)
-	for i := range out {
-		out[i] = m.byteAt(addr + uint32(i))
+	for i := 0; i < size; {
+		a := addr + uint32(i)
+		n := min(size-i, pageSize-int(a&(pageSize-1)))
+		if p := m.pages[a>>pageBits]; p != nil {
+			copy(out[i:i+n], p[a&(pageSize-1):])
+		}
+		i += n
 	}
 	return out, nil
 }

@@ -272,7 +272,12 @@ type assignment struct {
 // pickLocked returns the indices of the first schedulable pending request
 // and its chosen slot, or (-1, -1). assigned holds the member IDs already
 // given an assignment in the current dispatch round (Candidate.GroupMate).
+// With no idle slot no request has a candidate, so it returns at once
+// instead of scanning the backlog.
 func (sh *shard) pickLocked(assigned map[int]bool) (int, int) {
+	if !sh.idleSlotLocked() {
+		return -1, -1
+	}
 	sc := sh.sc
 	for ri, req := range sh.pending {
 		mod := req.task.Module()

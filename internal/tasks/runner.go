@@ -3,6 +3,7 @@ package tasks
 import (
 	"bytes"
 	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -39,10 +40,20 @@ const (
 	runScratchOff = 0x60_0000 // padding / stack scratch
 )
 
+// runnerData returns n seeded payload bytes: a SplitMix64 counter fill (the
+// mixer bitlinker uses for BRAM contents), eight bytes per step. A driver's
+// simulated timing depends on the payload's length only, never on its
+// contents, so the choice of fill moves no simulated metric.
 func runnerData(seed int64, n int) []byte {
-	b := make([]byte, n)
-	rand.New(rand.NewSource(seed)).Read(b)
-	return b
+	b := make([]byte, (n+7)&^7)
+	x := uint64(seed)
+	for i := 0; i < len(b); i += 8 {
+		x += 0x9E3779B97F4A7C15
+		z := (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		binary.LittleEndian.PutUint64(b[i:], z^z>>31)
+	}
+	return b[:n]
 }
 
 // SHA1Run hashes a Len-byte seeded message on the SHA-1 core and checks the
