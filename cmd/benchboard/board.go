@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/bench/gate"
 )
 
@@ -17,7 +18,7 @@ import (
 type point struct {
 	sha      string
 	value    float64
-	flagged  bool    // fails the gate band vs its predecessor (or a recorded benchdiff fail)
+	flagged  bool    // fails the gate band vs its predecessor
 	deltaPct float64 // vs predecessor (0 for the first point / zero baseline)
 }
 
@@ -33,9 +34,30 @@ type chart struct {
 	suite  string
 	metric string
 	unit   string
-	det    bool
 	shas   []string // x axis, commit order of the history file
 	series []series // first-appearance order, stable as history grows
+
+	// Resolved from the suite declaration (internal/bench.Suites): the
+	// suite's determinism, the metric's direction and band (nil when the
+	// suite does not declare it), whether the CI gate holds it, and its
+	// panel rank within the suite.
+	det   bool
+	decl  *bench.Metric
+	gated bool
+	rank  int
+}
+
+// newChart opens a panel, resolving it against the suite declaration.
+func newChart(suite, metric, unit string) *chart {
+	s := bench.SuiteOf(suite)
+	c := &chart{suite: suite, metric: metric, unit: unit, det: s.Deterministic, rank: len(s.Metrics)}
+	for i, m := range s.Metrics {
+		if m.Name == metric {
+			c.decl, c.gated, c.rank = &s.Metrics[i], s.Gated(m), i
+			break
+		}
+	}
+	return c
 }
 
 func (c *chart) fileName() string {
@@ -47,54 +69,20 @@ func (c *chart) title() string {
 	if c.unit != "" {
 		t += " (" + c.unit + ")"
 	}
+	var notes []string
 	if !c.det {
-		t += " — host-dependent, informational"
+		notes = append(notes, "host-dependent")
+	}
+	if !c.gated {
+		notes = append(notes, "informational")
+	}
+	if len(notes) > 0 {
+		t += " — " + strings.Join(notes, ", ")
 	}
 	return t
 }
 
-// metricOrder fixes the panel order within a suite: the CI-gated pair
-// first, then the derived qualities.
-var metricOrder = []string{
-	"config_ms", "bytes_streamed", "hidden_ms", "overlap_ms",
-	"availability", "repair_ms", "throughput_rps", "sim_throughput_rps",
-	"p50_ms", "p95_ms", "p99_ms",
-}
-
-func metricRank(name string) int {
-	for i, m := range metricOrder {
-		if m == name {
-			return i
-		}
-	}
-	return len(metricOrder)
-}
-
-// higherBetter classifies each metric's regression direction: hidden and
-// overlapped config time, availability and throughput regress by FALLING;
-// everything else (times, bytes) regresses by growing.
-func higherBetter(metric string) bool {
-	switch metric {
-	case "availability", "throughput_rps", "sim_throughput_rps", "hidden_ms", "overlap_ms":
-		return true
-	default:
-		return false
-	}
-}
-
-// zeroEps is the absolute band for zero-baseline predecessor checks.
-func zeroEps(metric string) float64 {
-	switch metric {
-	case "bytes_streamed":
-		return gate.BytesZeroEps
-	default:
-		return gate.ConfigMsZeroEps
-	}
-}
-
-// loadCharts reads the history and assembles the chart panels. Sample
-// entries (no verdict) carry the values; benchdiff verdict entries only
-// contribute their recorded failures as flags.
+// loadCharts reads the history and assembles the chart panels.
 func loadCharts(path string) ([]*chart, int, error) {
 	entries, skipped, err := gate.LoadEntries(path)
 	if err != nil {
@@ -102,18 +90,11 @@ func loadCharts(path string) ([]*chart, int, error) {
 	}
 	type sampleKey struct{ sha, suite, metric string }
 	samples := make(map[sampleKey]gate.Entry)
-	failed := make(map[sampleKey]bool)
 	var keyOrder []sampleKey // file order of first appearance — keeps charts deterministic
 	var shaOrder []string
 	shaSeen := make(map[string]bool)
 	for _, e := range entries {
 		k := sampleKey{e.SHA, e.Suite, e.Metric}
-		if e.Verdict != "" {
-			if e.Verdict == "fail" {
-				failed[k] = true
-			}
-			continue
-		}
 		// Last write wins: a re-run of the same commit refreshes its row.
 		if _, seen := samples[k]; !seen {
 			keyOrder = append(keyOrder, k)
@@ -139,7 +120,7 @@ func loadCharts(path string) ([]*chart, int, error) {
 			ck := chartKey{e.Suite, name}
 			c := byChart[ck]
 			if c == nil {
-				c = &chart{suite: e.Suite, metric: name, unit: e.Unit, det: e.Deterministic}
+				c = newChart(e.Suite, name, e.Unit)
 				byChart[ck] = c
 				chartOrder = append(chartOrder, ck)
 				labelSeen[ck] = make(map[string]int)
@@ -149,7 +130,7 @@ func loadCharts(path string) ([]*chart, int, error) {
 				c.series = append(c.series, series{label: label})
 			}
 			si := labelSeen[ck][label]
-			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value, flagged: failed[k]})
+			c.series[si].points = append(c.series[si].points, point{sha: sha, value: e.Value})
 		}
 	}
 	charts := make([]*chart, 0, len(byChart))
@@ -175,30 +156,22 @@ func loadCharts(path string) ([]*chart, int, error) {
 		if charts[i].suite != charts[j].suite {
 			return charts[i].suite < charts[j].suite
 		}
-		return metricRank(charts[i].metric) < metricRank(charts[j].metric)
+		return charts[i].rank < charts[j].rank
 	})
 	return charts, skipped, nil
 }
 
-// annotate runs the gate band between consecutive points of a series —
-// the same math cmd/benchdiff applies between fresh run and baseline.
+// annotate runs the declared check between consecutive points of a series
+// — the comparison cmd/benchdiff makes between baseline and fresh run —
+// and flags a failing point only where the gate holds the metric.
 func annotate(c *chart, s *series) {
+	if c.decl == nil {
+		return
+	}
 	for i := 1; i < len(s.points); i++ {
-		prev, cur := s.points[i-1].value, s.points[i].value
-		// The per-row tolerance rode the sample entry; a missing one means
-		// the gate default. History entries do not carry it per point, so
-		// the band is resolved per metric sample when present.
-		allowed := gate.Allowed(0)
-		var v gate.Verdict
-		if higherBetter(c.metric) {
-			v = gate.CheckHigherBetter(prev, cur, allowed)
-		} else {
-			v = gate.Check(prev, cur, allowed, zeroEps(c.metric))
-		}
+		v := c.decl.Check(s.points[i-1].value, s.points[i].value)
 		s.points[i].deltaPct = v.DeltaPct
-		if !v.Pass {
-			s.points[i].flagged = true
-		}
+		s.points[i].flagged = c.gated && !v.Pass
 	}
 }
 
@@ -224,9 +197,9 @@ func writeMarkdown(path string, charts []*chart) error {
 	var b strings.Builder
 	b.WriteString("# Bench trajectory\n\n")
 	b.WriteString("Rendered by `cmd/benchboard -md` from the per-commit history store\n")
-	b.WriteString("(`artifacts/bench/history.jsonl`). A ⚠ marks a point that fails the\n")
-	b.WriteString("CI gate's tolerance band (internal/bench/gate) against its\n")
-	b.WriteString("predecessor — the same math `cmd/benchdiff` applies in CI.\n")
+	b.WriteString("(`artifacts/bench/history.jsonl`). A ⚠ marks a point that fails its\n")
+	b.WriteString("declared gate (internal/bench.Suites) against its predecessor —\n")
+	b.WriteString("exactly where `cmd/benchdiff` would fail it in CI.\n")
 	for _, c := range charts {
 		fmt.Fprintf(&b, "\n## %s\n\n", c.title())
 		b.WriteString("| commit |")
@@ -537,7 +510,7 @@ td,th{border:1px solid %s;padding:3px 8px;text-align:right}th{color:%s}
 			surface, inkMain, grid, inkSub, flagRed)
 		b.WriteString(`<h1>Bench trajectory</h1><p>Per-commit metrics from <code>`)
 		b.WriteString(esc(historyPath))
-		b.WriteString(`</code>; a ⚠-ringed point fails the CI gate band (internal/bench/gate) vs its predecessor.</p>`)
+		b.WriteString(`</code>; a ⚠-ringed point fails its declared CI gate (internal/bench.Suites) vs its predecessor.</p>`)
 		if len(charts) == 0 {
 			b.WriteString(`<p>No metrics yet — run <code>benchboard -extract</code> or <code>make bench</code>.</p>`)
 		}

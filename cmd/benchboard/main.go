@@ -15,10 +15,11 @@
 //     inline SVG, one polyline per configuration label, re-reading the
 //     history on every request.
 //
-// Regression annotation comes from the same band math as the CI gate
-// (internal/bench/gate): a point that would fail cmd/benchdiff's
-// tolerance against its predecessor is flagged, as is any point whose
-// recorded benchdiff verdict was "fail".
+// Regression annotation reads the same suite declaration
+// (internal/bench.Suites) and band math (internal/bench/gate) as the CI
+// gate: a point is flagged exactly when cmd/benchdiff would fail it
+// against its predecessor. Metrics the gate does not hold are plotted,
+// never flagged.
 //
 // Usage:
 //
@@ -166,22 +167,20 @@ func extractSnapshots(historyPath, dir string) (added, files int, err error) {
 	}
 	seen := make(map[string]bool, len(existing))
 	for _, e := range existing {
-		if e.Verdict == "" {
-			seen[e.SHA+"\x00"+e.Suite+"\x00"+e.Metric] = true
-		}
+		seen[e.SHA+"\x00"+e.Suite+"\x00"+e.Metric] = true
 	}
 	for _, sha := range shas {
 		data, err := os.ReadFile(filepath.Join(dir, "BENCH_sched."+sha+".json"))
 		if err != nil {
 			return added, files, err
 		}
-		recs, err := bench.DecodeRecords(data)
+		rows, err := bench.DecodeRecords(data)
 		if err != nil {
 			return added, files, fmt.Errorf("%s: %w", sha, err)
 		}
 		files++
 		var fresh []gate.Entry
-		for _, e := range bench.NewWriter(recs...).HistoryEntries(sha) {
+		for _, e := range bench.HistoryEntries(rows, sha) {
 			k := e.SHA + "\x00" + e.Suite + "\x00" + e.Metric
 			if !seen[k] {
 				seen[k] = true

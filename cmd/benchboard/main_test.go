@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,14 +16,11 @@ import (
 // snapshot writes a fake archived BENCH_sched.<sha>.json with one S4 row.
 func snapshot(t *testing.T, dir, sha string, configMs float64, bytesStreamed uint64) {
 	t.Helper()
-	w := bench.NewWriter()
-	bench.AddRecords(w, []bench.RegionRecord{{
-		Base: bench.Base{
-			Label: "paired", Policy: "mincost", Planner: true,
-			ConfigMs: configMs, BytesStreamed: bytesStreamed, TolerancePct: 15,
-		},
-	}})
-	if err := w.WriteFile(filepath.Join(dir, "BENCH_sched."+sha+".json")); err != nil {
+	rows := []bench.PlacementRecord{{
+		Table: "S4", Label: "paired", Policy: "mincost", Planner: true,
+		ConfigMs: configMs, BytesStreamed: bytesStreamed,
+	}}
+	if err := bench.WriteRecords(filepath.Join(dir, "BENCH_sched."+sha+".json"), rows); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -88,26 +86,6 @@ func TestLoadChartsAndRegressionFlag(t *testing.T) {
 	}
 	if !pts[2].flagged {
 		t.Errorf("+%.0f%% point not flagged as a regression: %+v", pts[2].deltaPct, pts[2])
-	}
-}
-
-// TestLoadChartsRecordedVerdict: a benchdiff "fail" verdict flags the
-// matching sample even when the predecessor band alone would pass.
-func TestLoadChartsRecordedVerdict(t *testing.T) {
-	history := filepath.Join(t.TempDir(), "history.jsonl")
-	err := gate.AppendEntries(history, []gate.Entry{
-		{SHA: "aaa111", Suite: "S4", Metric: "paired/config_ms", Value: 2.0, Unit: "ms", Deterministic: true},
-		{SHA: "aaa111", Suite: "S4", Metric: "paired/config_ms", Value: 2.0, Unit: "ms", Deterministic: true, Verdict: "fail", DeltaPct: 20},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	charts, _, err := loadCharts(history)
-	if err != nil || len(charts) != 1 {
-		t.Fatalf("charts: %v %d", err, len(charts))
-	}
-	if p := charts[0].series[0].points[0]; !p.flagged {
-		t.Errorf("recorded benchdiff fail not surfaced: %+v", p)
 	}
 }
 
@@ -229,5 +207,65 @@ func TestRunExtractAndMd(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(svgDir, "S4_config_ms.svg")); err != nil {
 		t.Errorf("svg not written: %v", err)
+	}
+}
+
+// TestGateAgreement reads the (baseline, fresh) pairs cmd/benchdiff's test
+// also reads: as two consecutive commits of one series, the fresh point is
+// flagged exactly when the case says benchdiff fails it.
+func TestGateAgreement(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "bench", "testdata", "gate_agreement.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Suite, Label, Metric string
+		Base, Fresh          float64
+		Fail                 bool
+	}
+	if err := json.Unmarshal(data, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		name := c.Suite + "/" + c.Label + "/" + c.Metric
+		t.Run(name, func(t *testing.T) {
+			history := filepath.Join(t.TempDir(), "history.jsonl")
+			metric := c.Label + "/" + c.Metric
+			if err := gate.AppendEntries(history, []gate.Entry{
+				{SHA: "aaa111", Suite: c.Suite, Metric: metric, Value: c.Base},
+				{SHA: "bbb222", Suite: c.Suite, Metric: metric, Value: c.Fresh},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			charts, _, err := loadCharts(history)
+			if err != nil || len(charts) != 1 {
+				t.Fatalf("charts: %v, %d", err, len(charts))
+			}
+			pts := charts[0].series[0].points
+			if len(pts) != 2 || pts[1].flagged != c.Fail {
+				t.Fatalf("%s %v -> %v: flagged %v, want %v", name, c.Base, c.Fresh, pts[len(pts)-1].flagged, c.Fail)
+			}
+		})
+	}
+}
+
+// TestLegacyVerdictLinesIgnored: benchdiff verdict lines left in older
+// histories neither overwrite a commit's sample nor add a flag.
+func TestLegacyVerdictLinesIgnored(t *testing.T) {
+	history := filepath.Join(t.TempDir(), "history.jsonl")
+	lines := `{"sha":"aaa111","suite":"S4","metric":"paired/config_ms","value":2,"unit":"ms","deterministic":true}
+{"sha":"bbb222","suite":"S4","metric":"paired/config_ms","value":2.1,"unit":"ms","deterministic":true}
+{"sha":"bbb222","suite":"S4","metric":"paired/config_ms","value":9.9,"unit":"ms","deterministic":true,"tolerance_pct":15,"verdict":"fail","delta_pct":371}
+`
+	if err := os.WriteFile(history, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	charts, skipped, err := loadCharts(history)
+	if err != nil || skipped != 0 || len(charts) != 1 {
+		t.Fatalf("charts: %v, skipped %d, %d charts", err, skipped, len(charts))
+	}
+	pts := charts[0].series[0].points
+	if len(pts) != 2 || pts[1].value != 2.1 || pts[1].flagged {
+		t.Fatalf("points %+v: want the 2.1 sample, unflagged", pts)
 	}
 }

@@ -134,9 +134,7 @@ func runReplay(spec bench.FaultSpec, path, jsonPath string, out, errw io.Writer)
 	}
 	bench.FaultTable(runs).Format(out)
 	if jsonPath != "" {
-		w := bench.NewWriter()
-		bench.AddRecords(w, bench.FaultRecords(runs))
-		if err := w.WriteFile(jsonPath); err != nil {
+		if err := bench.WriteRecords(jsonPath, bench.FaultRecords(runs)); err != nil {
 			fmt.Fprintln(errw, "faultreplay:", err)
 			return 1
 		}

@@ -84,7 +84,7 @@ func run(args []string, out, errw io.Writer) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile of the whole run to this file")
 	compare := fs.Bool("compare", false,
-		"run the S2 placement, S3 prefetch, S4 region, S6 scaling, S7 fault and S8 compression comparisons instead of a single run")
+		"run the S2 placement, S3 prefetch, S4 region, S6 scaling, S7 fault, S8 compression and S9 latency-SLO comparisons instead of a single run")
 	jsonPath := fs.String("json", "", "write machine-readable per-configuration records to this file")
 	historyPath := fs.String("history", "",
 		"append every emitted record's metrics to this per-commit history file (JSONL; plotted by cmd/benchboard)")
@@ -93,7 +93,7 @@ func run(args []string, out, errw io.Writer) int {
 	tracePath := fs.String("trace", "",
 		"write a Chrome trace-event JSON of the run to this file (load in Perfetto/chrome://tracing; with -compare, records the S8 paired drive)")
 	samples := fs.Int("samples", 1,
-		"with -compare and -history: rerun the nondeterministic suites (S2, S6) this many times and append min/median noise-estimation entries per metric")
+		"with -compare and -history: rerun the host-dependent suites (S2, S6) this many times and append min/median noise-estimation entries per metric")
 	verbose := fs.Bool("v", false, "log every request")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -356,62 +356,58 @@ func run(args []string, out, errw io.Writer) int {
 		// Same label scheme as the -compare records, so trajectory
 		// consumers see one series per configuration. A paced or prefetch
 		// run is a different experiment than the canonical SubmitAll S2
-		// series: it keys under its own table and label and drops the S2
-		// rows' noise-tolerance band.
+		// series: it keys under its own "single" table and label.
 		label := policy.Name() + "+complete-only"
 		if *planOn {
 			label = policy.Name() + "+planner"
 		}
-		run := bench.PlacementRun{Label: label, Policy: policy.Name(), Planner: *planOn, Stats: st}
-		rec := bench.ScheduleRecords([]bench.PlacementRun{run})[0].Wire()
+		table := "S2"
 		if *prefetchOn || *window > 0 || *regions != 1 || *shards != 1 || *rate > 0 {
-			r := &rec
-			r.Table = "single"
-			r.TolerancePct = 0
-			if *regions != 1 {
-				r.Label += fmt.Sprintf("+regions%d", *regions)
-			}
-			if *shards != 1 {
-				r.Label += fmt.Sprintf("+shards%d", *shards)
-				r.Shards = *shards
-				r.Steals = st.Steals
-				r.StolenRequests = st.StolenRequests
-			}
-			if *rate > 0 {
-				r.Label += fmt.Sprintf("+rate%g", *rate)
-				r.ArrivalProcess = "poisson"
-				r.ThroughputRPS = float64(len(sojourns)) / elapsed.Seconds()
-				if len(sojourns) > 0 {
-					pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
-					r.P50Ms = pct[0].Milliseconds()
-					r.P95Ms = pct[1].Milliseconds()
-					r.P99Ms = pct[2].Milliseconds()
-				}
-			}
-			if *window > 0 {
-				r.Label += fmt.Sprintf("+window%d", *window)
-				r.Window = *window
-			}
-			if *prefetchOn {
-				r.Label += "+prefetch-" + *predictorName
-				r.Predictor = *predictorName
-				r.PrefetchHits = st.PrefetchHits
-				r.PrefetchAborted = st.PrefetchAborted
-				r.PrefetchBytes = st.PrefetchBytes
-				r.PrefetchWastedBytes = st.PrefetchWasted
-				r.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
+			table = "single"
+		}
+		r := bench.PlacementRun{Label: label, Policy: policy.Name(), Planner: *planOn, Stats: st}.Row(table)
+		if *regions != 1 {
+			r.Label += fmt.Sprintf("+regions%d", *regions)
+		}
+		if *shards != 1 {
+			r.Label += fmt.Sprintf("+shards%d", *shards)
+			r.Shards = *shards
+			r.Steals = st.Steals
+			r.StolenRequests = st.StolenRequests
+		}
+		if *rate > 0 {
+			r.Label += fmt.Sprintf("+rate%g", *rate)
+			r.ArrivalProcess = "poisson"
+			r.ThroughputRPS = float64(len(sojourns)) / elapsed.Seconds()
+			if len(sojourns) > 0 {
+				pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
+				r.P50Ms = pct[0].Milliseconds()
+				r.P95Ms = pct[1].Milliseconds()
+				r.P99Ms = pct[2].Milliseconds()
 			}
 		}
-		w := bench.NewWriter(rec)
-		// A single run's -arrivals replay rides along as typed S5 rows:
-		// the one latency table the -compare sweep does not emit.
-		bench.AddRecords(w, bench.ArrivalRecords(arrivalRuns))
-		if err := w.WriteFile(*jsonPath); err != nil {
+		if *window > 0 {
+			r.Label += fmt.Sprintf("+window%d", *window)
+			r.Window = *window
+		}
+		if *prefetchOn {
+			r.Label += "+prefetch-" + *predictorName
+			r.Predictor = *predictorName
+			r.PrefetchHits = st.PrefetchHits
+			r.PrefetchAborted = st.PrefetchAborted
+			r.PrefetchBytes = st.PrefetchBytes
+			r.PrefetchWastedBytes = st.PrefetchWasted
+			r.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
+		}
+		// A single run's -arrivals replay rides along as S5 rows: the one
+		// latency table the -compare sweep does not emit.
+		rows := append([]bench.PlacementRecord{r}, bench.ArrivalRecords(arrivalRuns)...)
+		if err := bench.WriteRecords(*jsonPath, rows); err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 1
 		}
 		if *historyPath != "" {
-			if err := w.AppendHistory(*historyPath, *shaFlag); err != nil {
+			if err := gate.AppendEntries(*historyPath, bench.HistoryEntries(rows, *shaFlag)); err != nil {
 				fmt.Fprintln(errw, "fpgad:", err)
 				return 1
 			}
@@ -500,29 +496,30 @@ func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
 	}
 	bench.SLOTable(slruns).Format(out)
 	if jsonPath != "" || historyPath != "" {
-		w := bench.NewWriter()
-		bench.AddRecords(w, bench.ScheduleRecords(runs))
-		bench.AddRecords(w, bench.PrefetchRecords(pruns))
-		bench.AddRecords(w, bench.RegionRecords(rruns))
-		bench.AddRecords(w, bench.ScalingRecords(sruns))
-		bench.AddRecords(w, bench.FaultRecords(fruns))
-		bench.AddRecords(w, bench.CompressRecords(cruns))
-		bench.AddRecords(w, bench.SLORecords(slruns))
+		var rows []bench.PlacementRecord
+		for _, suite := range [][]bench.PlacementRecord{
+			bench.ScheduleRecords(runs), bench.PrefetchRecords(pruns), bench.RegionRecords(rruns),
+			bench.ScalingRecords(sruns), bench.FaultRecords(fruns), bench.CompressRecords(cruns),
+			bench.SLORecords(slruns),
+		} {
+			rows = append(rows, suite...)
+		}
 		if jsonPath != "" {
-			if err := w.WriteFile(jsonPath); err != nil {
+			if err := bench.WriteRecords(jsonPath, rows); err != nil {
 				fmt.Fprintln(errw, "fpgad:", err)
 				return 1
 			}
 			fmt.Fprintf(out, "wrote %s\n", jsonPath)
 		}
 		if historyPath != "" {
-			if err := w.AppendHistory(historyPath, sha); err != nil {
+			entries := bench.HistoryEntries(rows, sha)
+			if err := gate.AppendEntries(historyPath, entries); err != nil {
 				fmt.Fprintln(errw, "fpgad:", err)
 				return 1
 			}
-			fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(w.HistoryEntries(sha)), historyPath, sha)
+			fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(entries), historyPath, sha)
 			if samples > 1 {
-				if err := appendNoise(spec, w.Records(), samples, historyPath, sha, out); err != nil {
+				if err := appendNoise(spec, rows, samples, historyPath, sha, out); err != nil {
 					fmt.Fprintln(errw, "fpgad:", err)
 					return 1
 				}
@@ -532,29 +529,28 @@ func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
 	return 0
 }
 
-// appendNoise estimates run-to-run noise on the nondeterministic suites:
-// it reruns S2 (concurrent SubmitAll placement) and S6 (real-throughput
-// capacity drive) samples-1 more times, then appends one "min" and one
-// "median" history entry per metric over all the samples. The median is
-// the lower middle of the sorted values, so it is always a measured value,
-// never an interpolation. Deterministic suites reproduce byte-identically
-// and would sample to K copies of one number, so they are skipped.
-func appendNoise(spec bench.PlacementSpec, first []bench.Record, samples int, historyPath, sha string, out io.Writer) error {
+// appendNoise estimates run-to-run noise on the host-dependent suites —
+// the ones the declaration (bench.Suites) marks nondeterministic: it
+// reruns their drives, S2 (concurrent SubmitAll placement) and S6
+// (real-throughput capacity drive), samples-1 more times, then appends one
+// "min" and one "median" history entry per metric over all the samples.
+// The median is the lower middle of the sorted values, so it is always a
+// measured value, never an interpolation. Deterministic suites reproduce
+// byte-identically and would sample to K copies of one number.
+func appendNoise(spec bench.PlacementSpec, first []bench.PlacementRecord, samples int, historyPath, sha string, out io.Writer) error {
 	type key struct{ suite, metric, unit string }
 	vals := make(map[key][]float64)
 	var order []key
-	add := func(recs []bench.Record) {
-		for _, r := range recs {
-			if s := r.Suite(); s != "S2" && s != "S6" {
+	add := func(rows []bench.PlacementRecord) {
+		for _, e := range bench.HistoryEntries(rows, sha) {
+			if e.Deterministic {
 				continue
 			}
-			for _, m := range r.Metrics() {
-				k := key{r.Suite(), r.Key() + "/" + m.Name, m.Unit}
-				if _, ok := vals[k]; !ok {
-					order = append(order, k)
-				}
-				vals[k] = append(vals[k], m.Value)
+			k := key{e.Suite, e.Metric, e.Unit}
+			if _, ok := vals[k]; !ok {
+				order = append(order, k)
 			}
+			vals[k] = append(vals[k], e.Value)
 		}
 	}
 	add(first)
@@ -567,10 +563,7 @@ func appendNoise(spec bench.PlacementSpec, first []bench.Record, samples int, hi
 		if err != nil {
 			return err
 		}
-		w := bench.NewWriter()
-		bench.AddRecords(w, bench.ScheduleRecords(runs))
-		bench.AddRecords(w, bench.ScalingRecords(sruns))
-		add(w.Records())
+		add(append(bench.ScheduleRecords(runs), bench.ScalingRecords(sruns)...))
 	}
 	var entries []gate.Entry
 	for _, k := range order {

@@ -250,26 +250,26 @@ func ArrivalRuns(spec PlacementSpec, seed int64, rhos []float64) ([]ArrivalRun, 
 	return runs, nil
 }
 
-// ArrivalRecords converts arrival replays into typed S5 records, one per
-// (process, offered load) row, labelled like the S6 cells
-// (poisson/rho-0.70) so the two latency tables read side by side.
-func ArrivalRecords(runs []ArrivalRun) []ArrivalRecord {
-	out := make([]ArrivalRecord, 0, len(runs))
+// ArrivalRecords converts arrival replays into S5 rows, one per (process,
+// offered load), labelled like the S6 cells (poisson/rho-0.70) so the two
+// latency tables read side by side. The shared fields describe the single
+// paced run the whole table replays.
+func ArrivalRecords(runs []ArrivalRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		out = append(out, ArrivalRecord{
-			Base: baseFromRun(PlacementRun{
-				Label:   fmt.Sprintf("%s/rho-%.2f", r.Process, r.Rho),
-				Policy:  "mincost",
-				Planner: true,
-				Stats:   r.Stats,
-			}, 15),
-			Process:          r.Process,
-			OfferedLoad:      r.Rho,
-			P50Ms:            r.P50.Milliseconds(),
-			P95Ms:            r.P95.Milliseconds(),
-			P99Ms:            r.P99.Milliseconds(),
-			SimThroughputRPS: r.SimThroughput(),
-		})
+		row := PlacementRun{
+			Label:   fmt.Sprintf("%s/rho-%.2f", r.Process, r.Rho),
+			Policy:  "mincost",
+			Planner: true,
+			Stats:   r.Stats,
+		}.Row("S5")
+		row.ArrivalProcess = r.Process
+		row.OfferedLoad = r.Rho
+		row.P50Ms = r.P50.Milliseconds()
+		row.P95Ms = r.P95.Milliseconds()
+		row.P99Ms = r.P99.Milliseconds()
+		row.SimThroughputRPS = r.SimThroughput()
+		out = append(out, row)
 	}
 	return out
 }

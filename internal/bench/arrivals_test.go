@@ -90,9 +90,9 @@ func TestArrivalTableShape(t *testing.T) {
 	}
 }
 
-// TestArrivalRecords: the S5 rows become typed records — one per
-// (process, rho), deterministic at the 15% band, with the table built
-// from the same runs matching the direct ArrivalTable path.
+// TestArrivalRecords: the S5 rows — one per (process, rho), keyed for the
+// history — with the table built from the same runs matching the direct
+// ArrivalTable path.
 func TestArrivalRecords(t *testing.T) {
 	spec := DefaultPlacementSpec()
 	spec.N = 24
@@ -105,15 +105,11 @@ func TestArrivalRecords(t *testing.T) {
 		t.Fatalf("%d records, want one per (rho, process)", len(recs))
 	}
 	for _, r := range recs {
-		if r.Suite() != "S5" || !r.Deterministic() || r.Tolerance() != 15 {
-			t.Fatalf("record %s: suite %s det %v tol %v, want S5/true/15", r.Key(), r.Suite(), r.Deterministic(), r.Tolerance())
+		if r.Table != "S5" || !strings.HasPrefix(r.Label, r.ArrivalProcess+"/rho-") {
+			t.Fatalf("record %s/%s: want S5 keyed process/rho", r.Table, r.Label)
 		}
-		if r.Process == "" || r.P99Ms < r.P50Ms || r.SimThroughputRPS <= 0 {
-			t.Errorf("record %s implausible: %+v", r.Key(), r)
-		}
-		w := r.Wire()
-		if w.Table != "S5" || w.Label != r.Label {
-			t.Errorf("wire lowering lost identity: %+v", w)
+		if r.ArrivalProcess == "" || r.P99Ms < r.P50Ms || r.SimThroughputRPS <= 0 {
+			t.Errorf("record %s implausible: %+v", r.Label, r)
 		}
 	}
 	var direct strings.Builder

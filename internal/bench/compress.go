@@ -179,19 +179,17 @@ func CompressTable(runs []CompressRun) *Table {
 	return t
 }
 
-// CompressRecords converts compress runs into typed S8 records. The
-// paired drive is deterministic, so the rows gate at the tight band.
-func CompressRecords(runs []CompressRun) []CompressRecord {
-	out := make([]CompressRecord, 0, len(runs))
+// CompressRecords converts compress runs into S8 rows.
+func CompressRecords(runs []CompressRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
 		st := r.Stats
-		out = append(out, CompressRecord{
-			Base:            baseFromRun(PlacementRun{Label: r.Label, Policy: r.Policy, Planner: r.Planner, Stats: st}, 15),
-			CompressedLoads: st.CompressedLoads,
-			DMALoads:        st.DMALoads,
-			OverlapMs:       st.OverlapConfig.Microseconds() / 1e3,
-			Availability:    r.Availability,
-		})
+		row := PlacementRun{Label: r.Label, Policy: r.Policy, Planner: r.Planner, Stats: st}.Row("S8")
+		row.CompressedLoads = st.CompressedLoads
+		row.DMALoads = st.DMALoads
+		row.OverlapMs = st.OverlapConfig.Microseconds() / 1e3
+		row.Availability = r.Availability
+		out = append(out, row)
 	}
 	return out
 }

@@ -58,8 +58,8 @@ func TestCompressRunsAcceptance(t *testing.T) {
 
 	recs := CompressRecords(runs)
 	for i, rec := range recs {
-		if rec.Suite() != "S8" || rec.TolerancePct != 15 {
-			t.Errorf("record %d: table %q tolerance %v, want S8/15", i, rec.Suite(), rec.TolerancePct)
+		if rec.Table != "S8" || rec.Label != runs[i].Label {
+			t.Errorf("record %d keyed %s/%s, want S8/%s", i, rec.Table, rec.Label, runs[i].Label)
 		}
 	}
 	if recs[3].OverlapMs <= 0 || recs[3].DMALoads == 0 {

@@ -180,22 +180,20 @@ func FaultTable(runs []FaultRun) *Table {
 	return t
 }
 
-// FaultRecords converts fault runs into typed S7 records. The paced drive
-// and seeded scenarios make the rows deterministic.
-func FaultRecords(runs []FaultRun) []FaultRecord {
-	out := make([]FaultRecord, 0, len(runs))
+// FaultRecords converts fault runs into S7 rows.
+func FaultRecords(runs []FaultRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
 		st := r.Stats
-		out = append(out, FaultRecord{
-			Base:           baseFromRun(PlacementRun{Label: r.Scenario.Name + "+scrub", Policy: "mincost", Planner: true, Stats: st}, 15),
-			FaultsInjected: uint64(len(r.Scenario.Events)),
-			FaultsDetected: st.FaultsDetected,
-			Requeues:       st.Requeues,
-			Repairs:        st.Repairs,
-			RepairMs:       float64(st.RepairConfig.Microseconds()) / 1e3,
-			Availability:   r.Availability,
-			P99Ms:          float64(r.P99.Microseconds()) / 1e3,
-		})
+		row := PlacementRun{Label: r.Scenario.Name + "+scrub", Policy: "mincost", Planner: true, Stats: st}.Row("S7")
+		row.FaultsInjected = uint64(len(r.Scenario.Events))
+		row.FaultsDetected = st.FaultsDetected
+		row.Requeues = st.Requeues
+		row.Repairs = st.Repairs
+		row.RepairMs = float64(st.RepairConfig.Microseconds()) / 1e3
+		row.Availability = r.Availability
+		row.P99Ms = float64(r.P99.Microseconds()) / 1e3
+		out = append(out, row)
 	}
 	return out
 }

@@ -62,8 +62,8 @@ func TestFaultSweepAvailability(t *testing.T) {
 		t.Fatalf("%d records for %d runs", len(recs), len(runs))
 	}
 	for i, rec := range recs {
-		if rec.Suite() != "S7" || rec.TolerancePct != 15 {
-			t.Fatalf("record %d gate tags: %+v", i, rec)
+		if rec.Table != "S7" || rec.Label != runs[i].Scenario.Name+"+scrub" {
+			t.Fatalf("record %d keyed %s/%s", i, rec.Table, rec.Label)
 		}
 		if rec.Availability != runs[i].Availability || rec.Repairs != runs[i].Stats.Repairs {
 			t.Fatalf("record %d diverges from run: %+v vs %+v", i, rec, runs[i].Stats)

@@ -1,48 +1,41 @@
-// Package gate holds the bench-regression tolerance rules and the
-// append-only per-commit metric history shared by the bench tooling:
-// cmd/benchdiff (the CI pass/fail gate), internal/bench's Writer (which
-// appends every refreshed metric to the history), and cmd/benchboard
-// (which renders the history and flags the points this package would
-// fail). Keeping the band math here means a trajectory annotation and a
-// gate verdict can never disagree about what counts as a regression.
+// Package gate holds the bench-regression band math and the append-only
+// per-commit metric history shared by the bench tooling: cmd/benchdiff
+// (the CI pass/fail gate), internal/bench (which writes every refreshed
+// metric to the history), and cmd/benchboard (which renders the history
+// and flags the points the gate would fail). Which metric is held, in
+// which direction and at which band is declared once, in
+// internal/bench.Suites; this package only does the arithmetic.
 //
 // Two gating regimes coexist, keyed on the baseline value:
 //
-//   - A nonzero baseline gates on relative growth: the fresh value may
-//     exceed the baseline by at most the record's tolerance band (its own
-//     tolerance_pct when it carries one, DefaultTolerancePct otherwise).
+//   - A nonzero baseline gates on relative change: the fresh value may
+//     move the wrong way by at most the metric's band in percent.
 //
-//   - A zero baseline gates on absolute growth against a per-metric
-//     epsilon. A percentage of zero is undefined: scaling any band by a
-//     zero baseline would admit nothing, and mapping it to a fixed
-//     percent would admit arbitrary absolute growth. The S6 capacity
-//     drive leans on this rule — its all-hit rows pin config_ms and
-//     bytes_streamed at exactly zero, so any future miss on the request
-//     path is a hard failure, not a percentage.
+//   - A zero baseline gates on absolute growth against an epsilon
+//     resolved by unit (ZeroEps). A percentage of zero is undefined:
+//     scaling any band by a zero baseline would admit nothing, and
+//     mapping it to a fixed percent would admit arbitrary absolute
+//     growth. The S6 capacity drive leans on this rule — its all-hit rows
+//     pin config_ms and bytes_streamed at exactly zero, so any future miss
+//     on the request path is a hard failure, not a percentage.
 package gate
 
-// DefaultTolerancePct is the gate's default relative band: a metric may
-// grow this many percent over its nonzero baseline before the gate fails.
-// Records from inherently noisy configurations carry their own wider
-// tolerance_pct, which overrides the default.
-const DefaultTolerancePct = 15
-
-// Per-metric absolute epsilons for zero baselines. Visible configuration
-// time tolerates rounding dust (the records store milliseconds at
-// microsecond precision); request-path bytes are integral and tolerate
-// nothing.
+// Absolute epsilons for zero baselines. Visible configuration time
+// tolerates rounding dust (the records store milliseconds at microsecond
+// precision); request-path bytes are integral and tolerate nothing.
 const (
 	ConfigMsZeroEps = 0.01
 	BytesZeroEps    = 0
 )
 
-// Allowed resolves a record's effective relative band: its own tolerance
-// when it carries one, the gate default otherwise.
-func Allowed(tolerancePct float64) float64 {
-	if tolerancePct > 0 {
-		return tolerancePct
+// ZeroEps resolves a smaller-is-better metric's zero-baseline epsilon by
+// its unit: milliseconds get ConfigMsZeroEps, every other unit (bytes)
+// BytesZeroEps.
+func ZeroEps(unit string) float64 {
+	if unit == "ms" {
+		return ConfigMsZeroEps
 	}
-	return DefaultTolerancePct
+	return BytesZeroEps
 }
 
 // Verdict is one metric comparison's outcome.
@@ -82,20 +75,4 @@ func CheckHigherBetter(base, fresh, allowedPct float64) Verdict {
 	}
 	delta := 100 * (fresh - base) / base
 	return Verdict{Pass: delta >= -allowedPct, DeltaPct: delta, Allowed: allowedPct}
-}
-
-// SuiteDeterministic reports whether a bench suite's rows reproduce
-// byte-identically run to run on one machine, which decides how their
-// history gates: deterministic rows hold their tolerance band exactly,
-// while host-dependent rows (concurrent SubmitAll placement in S2, real
-// wall-clock dispatch throughput in S6, ad-hoc single runs) are
-// informational — their gated metrics still pin through config_ms /
-// bytes_streamed, but their measured fields swing with the host.
-func SuiteDeterministic(suite string) bool {
-	switch suite {
-	case "S3", "S4", "S5", "S7", "S8", "S9":
-		return true
-	default:
-		return false
-	}
 }

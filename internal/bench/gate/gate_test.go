@@ -39,6 +39,9 @@ func TestCheckPercentBand(t *testing.T) {
 // baselines gate the absolute value against the metric's epsilon — the
 // regime the all-hit S6 rows and diff-suppressed byte counts rely on.
 func TestCheckZeroBaseline(t *testing.T) {
+	if ZeroEps("ms") != ConfigMsZeroEps || ZeroEps("B") != BytesZeroEps {
+		t.Fatalf("ZeroEps: ms %v, B %v; want %v, %v", ZeroEps("ms"), ZeroEps("B"), ConfigMsZeroEps, BytesZeroEps)
+	}
 	if v := Check(0, 0.005, 15, ConfigMsZeroEps); !v.Pass || !v.Zero || v.Allowed != ConfigMsZeroEps {
 		t.Errorf("config_ms 0 -> 0.005 ms: %+v, want zero-regime pass", v)
 	}
@@ -68,28 +71,6 @@ func TestCheckHigherBetter(t *testing.T) {
 	}
 }
 
-func TestAllowed(t *testing.T) {
-	if got := Allowed(0); got != DefaultTolerancePct {
-		t.Errorf("Allowed(0) = %v, want default %v", got, DefaultTolerancePct)
-	}
-	if got := Allowed(40); got != 40 {
-		t.Errorf("Allowed(40) = %v, want the per-record override", got)
-	}
-}
-
-func TestSuiteDeterministic(t *testing.T) {
-	for _, s := range []string{"S3", "S4", "S5", "S7", "S8"} {
-		if !SuiteDeterministic(s) {
-			t.Errorf("%s must gate as deterministic", s)
-		}
-	}
-	for _, s := range []string{"S2", "S6", "single", ""} {
-		if SuiteDeterministic(s) {
-			t.Errorf("%s must gate as host-dependent", s)
-		}
-	}
-}
-
 func TestSplitMetric(t *testing.T) {
 	cases := []struct{ in, label, name string }{
 		{"lru+planner/config_ms", "lru+planner", "config_ms"},
@@ -108,13 +89,13 @@ func TestHistoryAppendLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nested", "history.jsonl")
 	first := []Entry{
 		{SHA: "aaa111", Suite: "S3", Metric: "depth-2/config_ms", Value: 1.25, Unit: "ms", Deterministic: true},
-		{SHA: "aaa111", Suite: "S2", Metric: "lru/bytes_streamed", Value: 4096, Unit: "B", TolerancePct: 40},
+		{SHA: "aaa111", Suite: "S2", Metric: "lru/bytes_streamed", Value: 4096, Unit: "B"},
 	}
 	if err := AppendEntries(path, first); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	second := []Entry{
-		{SHA: "bbb222", Suite: "S3", Metric: "depth-2/config_ms", Value: 1.10, Unit: "ms", Deterministic: true, Verdict: "ok", DeltaPct: -12},
+		{SHA: "bbb222", Suite: "S3", Metric: "depth-2/config_ms", Value: 1.10, Unit: "ms", Deterministic: true, Stat: "median"},
 	}
 	if err := AppendEntries(path, second); err != nil {
 		t.Fatalf("second append: %v", err)
@@ -134,6 +115,8 @@ func TestHistoryAppendLoadRoundTrip(t *testing.T) {
 // TestReadEntriesTolerant mirrors internal/fault's JSONL reader: damaged
 // or truncated lines are skipped and counted, never fatal — a crashed
 // bench run must not poison the whole history.
+// Legacy benchdiff verdict lines are gate outcomes, not samples: they are
+// dropped without counting as damage.
 func TestReadEntriesTolerant(t *testing.T) {
 	raw := strings.Join([]string{
 		`{"sha":"aaa111","suite":"S4","metric":"paired/config_ms","value":2.5,"unit":"ms","deterministic":true}`,
@@ -141,6 +124,7 @@ func TestReadEntriesTolerant(t *testing.T) {
 		`not json at all`,
 		``,
 		`{"sha":"","suite":"S4","metric":"x/config_ms","value":1}`, // missing key fields
+		`{"sha":"aaa111","suite":"S4","metric":"paired/config_ms","value":9.9,"unit":"ms","deterministic":true,"tolerance_pct":15,"verdict":"fail","delta_pct":296}`,
 		`{"sha":"bbb222","suite":"S4","metric":"paired/config_ms","value":2.4,"unit":"ms","deterministic":true}`,
 	}, "\n")
 	entries, skipped, err := ReadEntries(strings.NewReader(raw))

@@ -11,10 +11,8 @@ import (
 
 // Entry is one line of the append-only per-commit metric history
 // (artifacts/bench/history.jsonl): a single measured value keyed by commit
-// SHA, suite and metric. The bench Writer appends one entry per (label,
-// metric) each time a snapshot is refreshed; cmd/benchdiff appends its
-// comparison verdicts under the same schema so cmd/benchboard's regression
-// annotations and the CI gate share one record of what happened.
+// SHA, suite and metric. The bench writer appends one entry per (label,
+// metric) each time a snapshot is refreshed.
 type Entry struct {
 	SHA   string `json:"sha"`
 	Suite string `json:"suite"`
@@ -24,23 +22,14 @@ type Entry struct {
 	Metric string  `json:"metric"`
 	Value  float64 `json:"value"`
 	Unit   string  `json:"unit"`
-	// Deterministic mirrors gate.SuiteDeterministic for the suite: true
-	// rows reproduce byte-identically and gate hard, false rows are
-	// host-dependent and informational.
+	// Deterministic mirrors the suite's declaration (internal/bench):
+	// true rows reproduce byte-identically, false rows are host-dependent.
 	Deterministic bool `json:"deterministic"`
-	// TolerancePct is the row's gate band (0 = the gate default).
-	TolerancePct float64 `json:"tolerance_pct,omitempty"`
 
 	// Stat marks multi-sample noise-estimation entries (fpgad -samples K):
 	// "min" and "median" summarize a nondeterministic metric across the K
 	// reruns of its suite. Empty on ordinary single-sample entries.
 	Stat string `json:"stat,omitempty"`
-
-	// Verdict ("ok" or "fail") and DeltaPct are set only on entries
-	// appended by cmd/benchdiff -history: the gate's outcome for this
-	// metric against the committed baseline.
-	Verdict  string  `json:"verdict,omitempty"`
-	DeltaPct float64 `json:"delta_pct,omitempty"`
 }
 
 // SplitMetric splits an Entry.Metric into its configuration label and
@@ -91,7 +80,7 @@ func AppendEntries(path string, entries []Entry) error {
 // not a complete JSON object (a torn tail from a killed run, editor
 // garbage, a partial append) is skipped and counted rather than failing
 // the read, mirroring internal/fault's JSONL reader. Entries missing a
-// SHA, suite or metric are damage too — a verdict no consumer could key.
+// SHA, suite or metric are damage too — a sample no consumer could key.
 func ReadEntries(r io.Reader) (entries []Entry, skipped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -100,12 +89,21 @@ func ReadEntries(r io.Reader) (entries []Entry, skipped int, err error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
+		// Older histories also hold benchdiff verdict lines (a "verdict"
+		// field): gate outcomes, not samples. They are not damage, but
+		// reading their values as samples would overwrite the commit's
+		// real measurement, so they are dropped uncounted.
+		var e struct {
+			Entry
+			Verdict string `json:"verdict"`
+		}
 		if json.Unmarshal(line, &e) != nil || e.SHA == "" || e.Suite == "" || e.Metric == "" {
 			skipped++
 			continue
 		}
-		entries = append(entries, e)
+		if e.Verdict == "" {
+			entries = append(entries, e.Entry)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return entries, skipped, fmt.Errorf("gate: history: %w", err)

@@ -131,85 +131,11 @@ func PlacementTable(runs []PlacementRun) *Table {
 	return t
 }
 
-// PlacementRecord is the on-disk wire layout of one bench row — the
-// BENCH_sched.json format the CI bench gate (cmd/benchdiff) keys on
-// table+label and diffs config_ms / bytes_streamed against. Every suite's
-// typed record (see Record in record.go) lowers to this struct via
-// Wire(); the field ORDER and omitempty tags are load-bearing, because
-// the committed baseline is diffed byte-for-byte (a golden test pins the
-// round trip). New suites add typed records, not more optional field
-// blocks here.
-type PlacementRecord struct {
-	Table         string  `json:"table"`
-	Label         string  `json:"label"`
-	Policy        string  `json:"policy"`
-	Planner       bool    `json:"planner"`
-	Requests      uint64  `json:"requests"`
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-	DiffLoads     uint64  `json:"diff_loads"`
-	CompleteLoads uint64  `json:"complete_loads"`
-	ConfigMs      float64 `json:"config_ms"`
-	WorkMs        float64 `json:"work_ms"`
-	BusyMs        float64 `json:"busy_ms"`
-	BytesStreamed uint64  `json:"bytes_streamed"`
-	SimUsPerReq   float64 `json:"sim_us_per_req"`
-
-	Window              int     `json:"window,omitempty"`
-	Predictor           string  `json:"predictor,omitempty"`
-	PrefetchHits        uint64  `json:"prefetch_hits,omitempty"`
-	PrefetchAborted     uint64  `json:"prefetch_aborted,omitempty"`
-	PrefetchBytes       uint64  `json:"prefetch_bytes,omitempty"`
-	PrefetchWastedBytes uint64  `json:"prefetch_wasted_bytes,omitempty"`
-	HiddenMs            float64 `json:"hidden_ms,omitempty"`
-
-	// S8 compressed/DMA load-path fields; zero for the other tables.
-	CompressedLoads uint64  `json:"compressed_loads,omitempty"`
-	DMALoads        uint64  `json:"dma_loads,omitempty"`
-	OverlapMs       float64 `json:"overlap_ms,omitempty"`
-
-	// S6 open-loop scaling fields; zero for the other tables. The
-	// throughput fields are host wall-clock measurements and the
-	// percentiles depend on concurrent placement, so none of them are
-	// gated — the gate pins S6 through its zero config_ms/bytes_streamed
-	// (the all-hit invariant of the capacity drive).
-	Shards           int     `json:"shards,omitempty"`
-	OfferedLoad      float64 `json:"offered_load,omitempty"`
-	ArrivalProcess   string  `json:"arrival_process,omitempty"`
-	ThroughputRPS    float64 `json:"throughput_rps,omitempty"`
-	SimThroughputRPS float64 `json:"sim_throughput_rps,omitempty"`
-	P50Ms            float64 `json:"p50_ms,omitempty"`
-	P95Ms            float64 `json:"p95_ms,omitempty"`
-	Steals           uint64  `json:"steals,omitempty"`
-	StolenRequests   uint64  `json:"stolen_requests,omitempty"`
-
-	// S7 fault-replay fields; zero for the other tables.
-	FaultsInjected uint64  `json:"faults_injected,omitempty"`
-	FaultsDetected uint64  `json:"faults_detected,omitempty"`
-	Requeues       uint64  `json:"requeues,omitempty"`
-	Repairs        uint64  `json:"repairs,omitempty"`
-	RepairMs       float64 `json:"repair_ms,omitempty"`
-	Availability   float64 `json:"availability,omitempty"`
-	P99Ms          float64 `json:"p99_ms,omitempty"`
-
-	// TolerancePct is how much this configuration may regress before the
-	// CI gate (cmd/benchdiff) fails, overriding the gate's default. The
-	// paced S3 rows are deterministic and gate tight; the SubmitAll S2
-	// rows react to goroutine completion order (placement follows whoever
-	// finishes first) and swing up to ~30% run to run, so they carry a
-	// wider band — still far inside the 5x planner-vs-complete signal
-	// they guard.
-	TolerancePct float64 `json:"tolerance_pct,omitempty"`
-}
-
-// ScheduleRecords converts placement runs into typed S2 records. The
-// concurrent SubmitAll drive is noisy, so the rows carry a wide tolerance
-// band (see Base.TolerancePct).
-func ScheduleRecords(runs []PlacementRun) []ScheduleRecord {
-	out := make([]ScheduleRecord, 0, len(runs))
+// ScheduleRecords converts placement runs into S2 rows.
+func ScheduleRecords(runs []PlacementRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		out = append(out, ScheduleRecord{Base: baseFromRun(r, 40)})
+		out = append(out, r.Row("S2"))
 	}
 	return out
 }

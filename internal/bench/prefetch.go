@@ -164,25 +164,20 @@ func PrefetchTable(runs []PrefetchRun) *Table {
 	return t
 }
 
-// PrefetchRecords converts prefetch runs into typed S3 records. Paced and
-// quiesced, repeated runs are byte-identical, so the rows carry no
-// tolerance override and gate at the CI default.
-func PrefetchRecords(runs []PrefetchRun) []PrefetchRecord {
-	out := make([]PrefetchRecord, 0, len(runs))
+// PrefetchRecords converts prefetch runs into S3 rows.
+func PrefetchRecords(runs []PrefetchRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
 		st := r.Stats
-		out = append(out, PrefetchRecord{
-			Base: baseFromRun(PlacementRun{Label: r.Label, Policy: r.Policy, Planner: true, Stats: st}, 0),
-			Speculation: Speculation{
-				Window:              r.Window,
-				Predictor:           r.Predictor,
-				PrefetchHits:        st.PrefetchHits,
-				PrefetchAborted:     st.PrefetchAborted,
-				PrefetchBytes:       st.PrefetchBytes,
-				PrefetchWastedBytes: st.PrefetchWasted,
-				HiddenMs:            float64(st.HiddenConfig.Microseconds()) / 1e3,
-			},
-		})
+		row := PlacementRun{Label: r.Label, Policy: r.Policy, Planner: true, Stats: st}.Row("S3")
+		row.Window = r.Window
+		row.Predictor = r.Predictor
+		row.PrefetchHits = st.PrefetchHits
+		row.PrefetchAborted = st.PrefetchAborted
+		row.PrefetchBytes = st.PrefetchBytes
+		row.PrefetchWastedBytes = st.PrefetchWasted
+		row.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
+		out = append(out, row)
 	}
 	return out
 }

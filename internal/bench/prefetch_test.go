@@ -71,7 +71,7 @@ func TestPrefetchTableShape(t *testing.T) {
 		}
 	}
 	recs := PrefetchRecords(runs)
-	if len(recs) != 4 || recs[0].Suite() != "S3" || recs[0].Window != spec.Window {
+	if len(recs) != 4 || recs[0].Table != "S3" || recs[0].Window != spec.Window {
 		t.Fatalf("records: %+v", recs[:1])
 	}
 	if recs[2].Predictor != "markov" {

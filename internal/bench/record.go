@@ -1,141 +1,215 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"repro/internal/bench/gate"
 )
 
-// Metric is one measured quantity a record contributes to the per-commit
-// trajectory store (artifacts/bench/history.jsonl).
+// PlacementRecord is one bench row in its on-disk wire layout — the
+// BENCH_sched.json format every suite emits, the CI gate (cmd/benchdiff)
+// keys on table+label, and the history store reads its metrics from. It
+// is the only row type: each suite's converter fills the shared fields
+// plus its own block. The field ORDER and omitempty tags are load-bearing,
+// because the committed baseline is diffed byte-for-byte (a golden test
+// pins the round trip). Which fields a suite gates, in which direction and
+// at which band, is declared once in Suites, keyed by these JSON names.
+type PlacementRecord struct {
+	Table         string  `json:"table"`
+	Label         string  `json:"label"`
+	Policy        string  `json:"policy"`
+	Planner       bool    `json:"planner"`
+	Requests      uint64  `json:"requests"`
+	Hits          uint64  `json:"hits"`
+	Misses        uint64  `json:"misses"`
+	HitRate       float64 `json:"hit_rate"`
+	DiffLoads     uint64  `json:"diff_loads"`
+	CompleteLoads uint64  `json:"complete_loads"`
+	ConfigMs      float64 `json:"config_ms"`
+	WorkMs        float64 `json:"work_ms"`
+	BusyMs        float64 `json:"busy_ms"`
+	BytesStreamed uint64  `json:"bytes_streamed"`
+	SimUsPerReq   float64 `json:"sim_us_per_req"`
+
+	// Speculation fields of the S3 prefetch and S4 region rows (S4's paced
+	// drive leaves Window zero).
+	Window              int     `json:"window,omitempty"`
+	Predictor           string  `json:"predictor,omitempty"`
+	PrefetchHits        uint64  `json:"prefetch_hits,omitempty"`
+	PrefetchAborted     uint64  `json:"prefetch_aborted,omitempty"`
+	PrefetchBytes       uint64  `json:"prefetch_bytes,omitempty"`
+	PrefetchWastedBytes uint64  `json:"prefetch_wasted_bytes,omitempty"`
+	HiddenMs            float64 `json:"hidden_ms,omitempty"`
+
+	// S8 compressed/DMA load-path fields; zero for the other tables.
+	CompressedLoads uint64  `json:"compressed_loads,omitempty"`
+	DMALoads        uint64  `json:"dma_loads,omitempty"`
+	OverlapMs       float64 `json:"overlap_ms,omitempty"`
+
+	// Open-loop fields of the S5 replay, the S6 scaling cells and the S9
+	// SLO replay; zero for the other tables.
+	Shards           int     `json:"shards,omitempty"`
+	OfferedLoad      float64 `json:"offered_load,omitempty"`
+	ArrivalProcess   string  `json:"arrival_process,omitempty"`
+	ThroughputRPS    float64 `json:"throughput_rps,omitempty"`
+	SimThroughputRPS float64 `json:"sim_throughput_rps,omitempty"`
+	P50Ms            float64 `json:"p50_ms,omitempty"`
+	P95Ms            float64 `json:"p95_ms,omitempty"`
+	Steals           uint64  `json:"steals,omitempty"`
+	StolenRequests   uint64  `json:"stolen_requests,omitempty"`
+
+	// S7 fault-replay fields (P99Ms is shared with the open-loop tables);
+	// zero for the other tables.
+	FaultsInjected uint64  `json:"faults_injected,omitempty"`
+	FaultsDetected uint64  `json:"faults_detected,omitempty"`
+	Requeues       uint64  `json:"requeues,omitempty"`
+	Repairs        uint64  `json:"repairs,omitempty"`
+	RepairMs       float64 `json:"repair_ms,omitempty"`
+	Availability   float64 `json:"availability,omitempty"`
+	P99Ms          float64 `json:"p99_ms,omitempty"`
+}
+
+// Metric declares one quantity a suite's rows contribute to the history
+// store: its wire JSON field (also its history name), its unit, the
+// direction it regresses in, and the relative band the gate holds it to.
 type Metric struct {
-	Name  string
-	Value float64
-	Unit  string
+	Name         string
+	Unit         string
+	HigherBetter bool
+	BandPct      float64
 }
 
-// Record is one bench table row in typed form. Every suite's rows —
-// ScheduleRecord (S2), PrefetchRecord (S3), RegionRecord (S4),
-// ArrivalRecord (S5), ScalingRecord (S6), FaultRecord (S7),
-// CompressRecord (S8), SLORecord (S9) — implement it, as does the raw wire row itself
-// (PlacementRecord) for ad-hoc single runs. The Writer consumes Records
-// to emit both the committed BENCH_sched.json layout and the history
-// store.
-type Record interface {
-	// Suite is the table ID ("S2" … "S9", or "single" for ad-hoc runs).
-	Suite() string
-	// Key is the configuration label, unique within the suite; the CI
-	// gate and the trajectory store key rows as Suite()/Key().
-	Key() string
-	// Deterministic reports whether the row reproduces byte-identically
-	// run to run on one machine (see gate.SuiteDeterministic).
-	Deterministic() bool
-	// Tolerance is the row's CI-gate band in percent (0 = gate default).
-	Tolerance() float64
-	// Metrics lists the quantities the row contributes to the history.
-	Metrics() []Metric
-	// Wire is the row in the legacy BENCH_sched.json layout.
-	Wire() PlacementRecord
+// Suite declares one bench table: its ID, whether its rows reproduce
+// byte-identically run to run on one machine, and its metrics in history
+// and dashboard-panel order.
+type Suite struct {
+	ID            string
+	Deterministic bool
+	Metrics       []Metric
 }
 
-// Base carries the scheduler economics every suite reports for one
-// configuration row: identity, cache behaviour, stream mix, and the two
-// CI-gated metrics (visible config time and request-path bytes). The
-// typed records embed it and add their suite's own columns.
-type Base struct {
-	Label   string
-	Policy  string
-	Planner bool
-
-	Requests      uint64
-	Hits          uint64
-	Misses        uint64
-	HitRate       float64
-	DiffLoads     uint64
-	CompleteLoads uint64
-
-	ConfigMs      float64
-	WorkMs        float64
-	BusyMs        float64
-	BytesStreamed uint64
-	SimUsPerReq   float64
-
-	// TolerancePct is how much this configuration may regress before the
-	// CI gate (cmd/benchdiff) fails, overriding the gate's default. The
-	// paced deterministic rows gate tight; the SubmitAll S2 rows react to
-	// goroutine completion order (placement follows whoever finishes
-	// first) and swing up to ~30% run to run, so they carry a wider band —
-	// still far inside the 5x planner-vs-complete signal they guard.
-	TolerancePct float64
+// Suites is the one declaration of the bench gates, read by the history
+// writer, cmd/benchdiff (the CI gate), cmd/benchboard (the trajectory
+// flags) and fpgad's noise sampler.
+//
+// S2 rows react to goroutine completion order (SubmitAll placement follows
+// whoever finishes first) and swing up to ~30% run to run, so their pair
+// carries a 40% band — still far inside the 5x planner-vs-complete signal
+// they guard. The S9 percentiles reproduce byte-identically, so any drift
+// past 1% is a real latency change. Every other band is 15%.
+var Suites = []Suite{
+	{ID: "S2", Metrics: economy(40)},
+	{ID: "S3", Deterministic: true, Metrics: economy(15,
+		Metric{Name: "hidden_ms", Unit: "ms", HigherBetter: true, BandPct: 15})},
+	{ID: "S4", Deterministic: true, Metrics: economy(15,
+		Metric{Name: "hidden_ms", Unit: "ms", HigherBetter: true, BandPct: 15})},
+	{ID: "S5", Deterministic: true, Metrics: economy(15,
+		Metric{Name: "p99_ms", Unit: "ms", BandPct: 15},
+		Metric{Name: "sim_throughput_rps", Unit: "req/s", HigherBetter: true, BandPct: 15})},
+	// Real throughput is host wall-clock and the percentiles ride
+	// concurrent placement; the pair stays exact — zero by the all-hit
+	// construction, gated on its absolute epsilon.
+	{ID: "S6", Metrics: economy(15,
+		Metric{Name: "throughput_rps", Unit: "req/s", HigherBetter: true, BandPct: 15},
+		Metric{Name: "p99_ms", Unit: "ms", BandPct: 15})},
+	{ID: "S7", Deterministic: true, Metrics: economy(15,
+		Metric{Name: "availability", Unit: "frac", HigherBetter: true, BandPct: 15},
+		Metric{Name: "repair_ms", Unit: "ms", BandPct: 15})},
+	{ID: "S8", Deterministic: true, Metrics: economy(15,
+		Metric{Name: "availability", Unit: "frac", HigherBetter: true, BandPct: 15},
+		Metric{Name: "overlap_ms", Unit: "ms", HigherBetter: true, BandPct: 15})},
+	{ID: "S9", Deterministic: true, Metrics: economy(15,
+		Metric{Name: "p50_ms", Unit: "ms", BandPct: 1},
+		Metric{Name: "p95_ms", Unit: "ms", BandPct: 1},
+		Metric{Name: "p99_ms", Unit: "ms", BandPct: 1})},
+	// Ad-hoc fpgad -json runs outside the canonical S2 drive.
+	{ID: "single", Metrics: economy(15)},
 }
 
-// Key implements Record.
-func (b Base) Key() string { return b.Label }
+// economy prepends the pair every suite reports and the gate always
+// holds — visible configuration time and request-path bytes, the bill the
+// whole bench economy is priced in — at the given band.
+func economy(bandPct float64, more ...Metric) []Metric {
+	return append([]Metric{
+		{Name: "config_ms", Unit: "ms", BandPct: bandPct},
+		{Name: "bytes_streamed", Unit: "B", BandPct: bandPct},
+	}, more...)
+}
 
-// Tolerance implements Record.
-func (b Base) Tolerance() float64 { return b.TolerancePct }
-
-// wire fills the shared fields of the legacy layout.
-func (b Base) wire(table string) PlacementRecord {
-	return PlacementRecord{
-		Table:         table,
-		Label:         b.Label,
-		Policy:        b.Policy,
-		Planner:       b.Planner,
-		Requests:      b.Requests,
-		Hits:          b.Hits,
-		Misses:        b.Misses,
-		HitRate:       b.HitRate,
-		DiffLoads:     b.DiffLoads,
-		CompleteLoads: b.CompleteLoads,
-		ConfigMs:      b.ConfigMs,
-		WorkMs:        b.WorkMs,
-		BusyMs:        b.BusyMs,
-		BytesStreamed: b.BytesStreamed,
-		SimUsPerReq:   b.SimUsPerReq,
-		TolerancePct:  b.TolerancePct,
+// SuiteOf returns the declaration of a wire row's table. An empty table is
+// an ad-hoc single run from before rows carried one; a table no
+// declaration names (a suite newer than the reader) falls back to the
+// host-dependent economy pair, so its rows still gate.
+func SuiteOf(table string) Suite {
+	if table == "" {
+		table = "single"
 	}
-}
-
-// metrics lists the two quantities every suite contributes: the CI-gated
-// pair the whole bench economy is priced in.
-func (b Base) metrics() []Metric {
-	return []Metric{
-		{Name: "config_ms", Value: b.ConfigMs, Unit: "ms"},
-		{Name: "bytes_streamed", Value: float64(b.BytesStreamed), Unit: "B"},
+	for _, s := range Suites {
+		if s.ID == table {
+			return s
+		}
 	}
+	return Suite{ID: table, Metrics: economy(15)}
 }
 
-// baseOf recovers a Base from a wire row.
-func baseOf(w PlacementRecord) Base {
-	return Base{
-		Label:         w.Label,
-		Policy:        w.Policy,
-		Planner:       w.Planner,
-		Requests:      w.Requests,
-		Hits:          w.Hits,
-		Misses:        w.Misses,
-		HitRate:       w.HitRate,
-		DiffLoads:     w.DiffLoads,
-		CompleteLoads: w.CompleteLoads,
-		ConfigMs:      w.ConfigMs,
-		WorkMs:        w.WorkMs,
-		BusyMs:        w.BusyMs,
-		BytesStreamed: w.BytesStreamed,
-		SimUsPerReq:   w.SimUsPerReq,
-		TolerancePct:  w.TolerancePct,
+// Gated reports whether the gate holds m: the economy pair on every suite,
+// and every declared metric of a deterministic suite. A host-dependent
+// suite's other metrics swing with the machine and stay informational.
+func (s Suite) Gated(m Metric) bool {
+	return s.Deterministic || m.Name == "config_ms" || m.Name == "bytes_streamed"
+}
+
+// Check holds a fresh value against its baseline in the metric's direction
+// and band; a lower-is-better zero baseline gates on the unit's absolute
+// epsilon (gate.ZeroEps).
+func (m Metric) Check(base, fresh float64) gate.Verdict {
+	if m.HigherBetter {
+		return gate.CheckHigherBetter(base, fresh, m.BandPct)
 	}
+	return gate.Check(base, fresh, m.BandPct, gate.ZeroEps(m.Unit))
 }
 
-// baseFromRun fills the shared fields from a run's scheduler stats.
-func baseFromRun(r PlacementRun, tolerancePct float64) Base {
+// wireField maps each wire JSON name to its struct field index, so a
+// declared metric reads its value straight off the row.
+var wireField = func() map[string]int {
+	t := reflect.TypeOf(PlacementRecord{})
+	m := make(map[string]int, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		m[name] = i
+	}
+	return m
+}()
+
+// Value reads the numeric wire field with the given JSON name. Naming a
+// field the row does not have, or a non-numeric one, is a declaration bug.
+func (r PlacementRecord) Value(name string) float64 {
+	i, ok := wireField[name]
+	if ok {
+		switch f := reflect.ValueOf(r).Field(i); f.Kind() {
+		case reflect.Float64:
+			return f.Float()
+		case reflect.Uint64:
+			return float64(f.Uint())
+		case reflect.Int:
+			return float64(f.Int())
+		}
+	}
+	panic(fmt.Sprintf("bench: %q is not a numeric wire field", name))
+}
+
+// Row fills the shared fields of a table's wire row from the run's
+// scheduler stats; the suite's converter adds its own block.
+func (r PlacementRun) Row(table string) PlacementRecord {
 	st := r.Stats
 	var busy float64
 	for _, b := range st.BusyTime {
 		busy += float64(b.Microseconds())
 	}
-	base := Base{
+	row := PlacementRecord{
+		Table:         table,
 		Label:         r.Label,
 		Policy:        r.Policy,
 		Planner:       r.Planner,
@@ -149,430 +223,9 @@ func baseFromRun(r PlacementRun, tolerancePct float64) Base {
 		WorkMs:        float64(st.Work.Microseconds()) / 1e3,
 		BusyMs:        busy / 1e3,
 		BytesStreamed: st.BytesStreamed,
-		TolerancePct:  tolerancePct,
 	}
 	if st.Done > 0 {
-		base.SimUsPerReq = busy / float64(st.Done)
+		row.SimUsPerReq = busy / float64(st.Done)
 	}
-	return base
-}
-
-// Speculation carries the prefetch-pipeline columns shared by the S3
-// prefetch rows and the S4 region rows (both drive the speculative
-// configuration pipeline; S4's paced drive leaves Window zero).
-type Speculation struct {
-	Window              int
-	Predictor           string
-	PrefetchHits        uint64
-	PrefetchAborted     uint64
-	PrefetchBytes       uint64
-	PrefetchWastedBytes uint64
-	HiddenMs            float64
-}
-
-// speculationOf recovers the block from a wire row.
-func speculationOf(w PlacementRecord) Speculation {
-	return Speculation{
-		Window:              w.Window,
-		Predictor:           w.Predictor,
-		PrefetchHits:        w.PrefetchHits,
-		PrefetchAborted:     w.PrefetchAborted,
-		PrefetchBytes:       w.PrefetchBytes,
-		PrefetchWastedBytes: w.PrefetchWastedBytes,
-		HiddenMs:            w.HiddenMs,
-	}
-}
-
-// wireInto copies the block onto a wire row.
-func (sp Speculation) wireInto(w *PlacementRecord) {
-	w.Window = sp.Window
-	w.Predictor = sp.Predictor
-	w.PrefetchHits = sp.PrefetchHits
-	w.PrefetchAborted = sp.PrefetchAborted
-	w.PrefetchBytes = sp.PrefetchBytes
-	w.PrefetchWastedBytes = sp.PrefetchWastedBytes
-	w.HiddenMs = sp.HiddenMs
-}
-
-// ScheduleRecord is one S2 placement row: the concurrent SubmitAll drive
-// comparing placement policy and stream planning.
-type ScheduleRecord struct{ Base }
-
-// Suite implements Record.
-func (ScheduleRecord) Suite() string { return "S2" }
-
-// Deterministic implements Record: SubmitAll placement follows goroutine
-// completion order, so S2 rows are host-dependent.
-func (ScheduleRecord) Deterministic() bool { return false }
-
-// Metrics implements Record.
-func (r ScheduleRecord) Metrics() []Metric { return r.metrics() }
-
-// Wire implements Record.
-func (r ScheduleRecord) Wire() PlacementRecord { return r.wire("S2") }
-
-// PrefetchRecord is one S3 prefetch row: the paced window-1 drive
-// measuring how much visible configuration time speculation hides.
-type PrefetchRecord struct {
-	Base
-	Speculation
-}
-
-// Suite implements Record.
-func (PrefetchRecord) Suite() string { return "S3" }
-
-// Deterministic implements Record: paced and settled, byte-identical.
-func (PrefetchRecord) Deterministic() bool { return true }
-
-// Metrics implements Record.
-func (r PrefetchRecord) Metrics() []Metric {
-	return append(r.metrics(), Metric{Name: "hidden_ms", Value: r.HiddenMs, Unit: "ms"})
-}
-
-// Wire implements Record.
-func (r PrefetchRecord) Wire() PlacementRecord {
-	w := r.wire("S3")
-	r.Speculation.wireInto(&w)
-	return w
-}
-
-// RegionRecord is one S4 region-granularity row: equal total fabric
-// organized as different region counts, paced like S3.
-type RegionRecord struct {
-	Base
-	Speculation
-}
-
-// Suite implements Record.
-func (RegionRecord) Suite() string { return "S4" }
-
-// Deterministic implements Record.
-func (RegionRecord) Deterministic() bool { return true }
-
-// Metrics implements Record.
-func (r RegionRecord) Metrics() []Metric {
-	return append(r.metrics(), Metric{Name: "hidden_ms", Value: r.HiddenMs, Unit: "ms"})
-}
-
-// Wire implements Record.
-func (r RegionRecord) Wire() PlacementRecord {
-	w := r.wire("S4")
-	r.Speculation.wireInto(&w)
-	return w
-}
-
-// ArrivalRecord is one S5 row: the measured service trace replayed
-// through the virtual k-server queue under one open-loop arrival process
-// and offered load. The replay is pure arithmetic over a deterministic
-// trace, so the rows reproduce exactly; the scheduler-economics fields of
-// Base describe the single paced run the whole table replays.
-type ArrivalRecord struct {
-	Base
-	Process          string
-	OfferedLoad      float64
-	P50Ms            float64
-	P95Ms            float64
-	P99Ms            float64
-	SimThroughputRPS float64
-}
-
-// Suite implements Record.
-func (ArrivalRecord) Suite() string { return "S5" }
-
-// Deterministic implements Record.
-func (ArrivalRecord) Deterministic() bool { return true }
-
-// Metrics implements Record.
-func (r ArrivalRecord) Metrics() []Metric {
-	return append(r.metrics(),
-		Metric{Name: "p99_ms", Value: r.P99Ms, Unit: "ms"},
-		Metric{Name: "sim_throughput_rps", Value: r.SimThroughputRPS, Unit: "req/s"})
-}
-
-// Wire implements Record.
-func (r ArrivalRecord) Wire() PlacementRecord {
-	w := r.wire("S5")
-	w.ArrivalProcess = r.Process
-	w.OfferedLoad = r.OfferedLoad
-	w.P50Ms = r.P50Ms
-	w.P95Ms = r.P95Ms
-	w.P99Ms = r.P99Ms
-	w.SimThroughputRPS = r.SimThroughputRPS
-	return w
-}
-
-// ScalingRecord is one S6 scaling-sweep cell: the sharded dispatcher
-// under an open-loop all-hit capacity drive at one (shard count, offered
-// load) point.
-type ScalingRecord struct {
-	Base
-	Shards           int
-	OfferedLoad      float64
-	Process          string
-	ThroughputRPS    float64
-	SimThroughputRPS float64
-	P50Ms            float64
-	P95Ms            float64
-	P99Ms            float64
-	Steals           uint64
-	StolenRequests   uint64
-}
-
-// Suite implements Record.
-func (ScalingRecord) Suite() string { return "S6" }
-
-// Deterministic implements Record: real throughput is host wall-clock and
-// the percentiles ride concurrent placement. The gated config_ms /
-// bytes_streamed stay exact — zero by the all-hit construction.
-func (ScalingRecord) Deterministic() bool { return false }
-
-// Metrics implements Record.
-func (r ScalingRecord) Metrics() []Metric {
-	return append(r.metrics(),
-		Metric{Name: "throughput_rps", Value: r.ThroughputRPS, Unit: "req/s"},
-		Metric{Name: "p99_ms", Value: r.P99Ms, Unit: "ms"})
-}
-
-// Wire implements Record.
-func (r ScalingRecord) Wire() PlacementRecord {
-	w := r.wire("S6")
-	w.Shards = r.Shards
-	w.OfferedLoad = r.OfferedLoad
-	w.ArrivalProcess = r.Process
-	w.ThroughputRPS = r.ThroughputRPS
-	w.SimThroughputRPS = r.SimThroughputRPS
-	w.P50Ms = r.P50Ms
-	w.P95Ms = r.P95Ms
-	w.P99Ms = r.P99Ms
-	w.Steals = r.Steals
-	w.StolenRequests = r.StolenRequests
-	return w
-}
-
-// FaultRecord is one S7 availability row: the paced drive under one
-// seeded upset scenario with the scrub/quarantine/repair loop on.
-type FaultRecord struct {
-	Base
-	FaultsInjected uint64
-	FaultsDetected uint64
-	Requeues       uint64
-	Repairs        uint64
-	RepairMs       float64
-	Availability   float64
-	P99Ms          float64
-}
-
-// Suite implements Record.
-func (FaultRecord) Suite() string { return "S7" }
-
-// Deterministic implements Record: seeded scenario, paced drive.
-func (FaultRecord) Deterministic() bool { return true }
-
-// Metrics implements Record.
-func (r FaultRecord) Metrics() []Metric {
-	return append(r.metrics(),
-		Metric{Name: "availability", Value: r.Availability, Unit: "frac"},
-		Metric{Name: "repair_ms", Value: r.RepairMs, Unit: "ms"})
-}
-
-// Wire implements Record.
-func (r FaultRecord) Wire() PlacementRecord {
-	w := r.wire("S7")
-	w.FaultsInjected = r.FaultsInjected
-	w.FaultsDetected = r.FaultsDetected
-	w.Requeues = r.Requeues
-	w.Repairs = r.Repairs
-	w.RepairMs = r.RepairMs
-	w.Availability = r.Availability
-	w.P99Ms = r.P99Ms
-	return w
-}
-
-// CompressRecord is one S8 load-path row: the paired deterministic drive
-// comparing complete / differential / compressed / compressed+DMA
-// configuration.
-type CompressRecord struct {
-	Base
-	CompressedLoads uint64
-	DMALoads        uint64
-	OverlapMs       float64
-	Availability    float64
-}
-
-// Suite implements Record.
-func (CompressRecord) Suite() string { return "S8" }
-
-// Deterministic implements Record: the paired drive is deterministic.
-func (CompressRecord) Deterministic() bool { return true }
-
-// Metrics implements Record.
-func (r CompressRecord) Metrics() []Metric {
-	return append(r.metrics(),
-		Metric{Name: "availability", Value: r.Availability, Unit: "frac"},
-		Metric{Name: "overlap_ms", Value: r.OverlapMs, Unit: "ms"})
-}
-
-// Wire implements Record.
-func (r CompressRecord) Wire() PlacementRecord {
-	w := r.wire("S8")
-	w.CompressedLoads = r.CompressedLoads
-	w.DMALoads = r.DMALoads
-	w.OverlapMs = r.OverlapMs
-	w.Availability = r.Availability
-	return w
-}
-
-// SLORecord is one S9 latency-SLO row: the S6 arrival traces replayed
-// against pinned placement through the deterministic k-server overlay.
-// The percentile columns are the suite's point — deterministic sojourn
-// p50/p95/p99, each a gated metric rather than an informational one.
-type SLORecord struct {
-	Base
-	Process          string
-	OfferedLoad      float64
-	P50Ms            float64
-	P95Ms            float64
-	P99Ms            float64
-	SimThroughputRPS float64
-}
-
-// Suite implements Record.
-func (SLORecord) Suite() string { return "S9" }
-
-// Deterministic implements Record: paced service measurement plus
-// arithmetic replay, byte-identical run to run.
-func (SLORecord) Deterministic() bool { return true }
-
-// Metrics implements Record: the three SLO percentiles gate alongside
-// the economy pair.
-func (r SLORecord) Metrics() []Metric {
-	return append(r.metrics(),
-		Metric{Name: "p50_ms", Value: r.P50Ms, Unit: "ms"},
-		Metric{Name: "p95_ms", Value: r.P95Ms, Unit: "ms"},
-		Metric{Name: "p99_ms", Value: r.P99Ms, Unit: "ms"})
-}
-
-// Wire implements Record.
-func (r SLORecord) Wire() PlacementRecord {
-	w := r.wire("S9")
-	w.ArrivalProcess = r.Process
-	w.OfferedLoad = r.OfferedLoad
-	w.P50Ms = r.P50Ms
-	w.P95Ms = r.P95Ms
-	w.P99Ms = r.P99Ms
-	w.SimThroughputRPS = r.SimThroughputRPS
-	return w
-}
-
-// Suite implements Record for the raw wire row: ad-hoc single runs tag
-// themselves "single" (or leave the table empty in pre-gate files).
-func (r PlacementRecord) Suite() string {
-	if r.Table == "" {
-		return "single"
-	}
-	return r.Table
-}
-
-// Key implements Record.
-func (r PlacementRecord) Key() string { return r.Label }
-
-// Deterministic implements Record.
-func (r PlacementRecord) Deterministic() bool { return gate.SuiteDeterministic(r.Suite()) }
-
-// Tolerance implements Record.
-func (r PlacementRecord) Tolerance() float64 { return r.TolerancePct }
-
-// Metrics implements Record: a raw row contributes only the gated pair.
-func (r PlacementRecord) Metrics() []Metric {
-	return []Metric{
-		{Name: "config_ms", Value: r.ConfigMs, Unit: "ms"},
-		{Name: "bytes_streamed", Value: float64(r.BytesStreamed), Unit: "B"},
-	}
-}
-
-// Wire implements Record.
-func (r PlacementRecord) Wire() PlacementRecord { return r }
-
-// FromWire lifts a wire row into its suite's typed record. Rows of
-// unknown tables (ad-hoc "single" runs, future suites) stay raw — the
-// wire row itself implements Record.
-func FromWire(w PlacementRecord) Record {
-	switch w.Table {
-	case "S2":
-		return ScheduleRecord{Base: baseOf(w)}
-	case "S3":
-		return PrefetchRecord{Base: baseOf(w), Speculation: speculationOf(w)}
-	case "S4":
-		return RegionRecord{Base: baseOf(w), Speculation: speculationOf(w)}
-	case "S5":
-		return ArrivalRecord{
-			Base:             baseOf(w),
-			Process:          w.ArrivalProcess,
-			OfferedLoad:      w.OfferedLoad,
-			P50Ms:            w.P50Ms,
-			P95Ms:            w.P95Ms,
-			P99Ms:            w.P99Ms,
-			SimThroughputRPS: w.SimThroughputRPS,
-		}
-	case "S6":
-		return ScalingRecord{
-			Base:             baseOf(w),
-			Shards:           w.Shards,
-			OfferedLoad:      w.OfferedLoad,
-			Process:          w.ArrivalProcess,
-			ThroughputRPS:    w.ThroughputRPS,
-			SimThroughputRPS: w.SimThroughputRPS,
-			P50Ms:            w.P50Ms,
-			P95Ms:            w.P95Ms,
-			P99Ms:            w.P99Ms,
-			Steals:           w.Steals,
-			StolenRequests:   w.StolenRequests,
-		}
-	case "S7":
-		return FaultRecord{
-			Base:           baseOf(w),
-			FaultsInjected: w.FaultsInjected,
-			FaultsDetected: w.FaultsDetected,
-			Requeues:       w.Requeues,
-			Repairs:        w.Repairs,
-			RepairMs:       w.RepairMs,
-			Availability:   w.Availability,
-			P99Ms:          w.P99Ms,
-		}
-	case "S8":
-		return CompressRecord{
-			Base:            baseOf(w),
-			CompressedLoads: w.CompressedLoads,
-			DMALoads:        w.DMALoads,
-			OverlapMs:       w.OverlapMs,
-			Availability:    w.Availability,
-		}
-	case "S9":
-		return SLORecord{
-			Base:             baseOf(w),
-			Process:          w.ArrivalProcess,
-			OfferedLoad:      w.OfferedLoad,
-			P50Ms:            w.P50Ms,
-			P95Ms:            w.P95Ms,
-			P99Ms:            w.P99Ms,
-			SimThroughputRPS: w.SimThroughputRPS,
-		}
-	default:
-		return w
-	}
-}
-
-// DecodeRecords parses a BENCH_sched.json-layout document into typed
-// records — the inverse of Writer.MarshalWire, used by cmd/benchboard to
-// lift archived snapshots into the history store.
-func DecodeRecords(data []byte) ([]Record, error) {
-	var wires []PlacementRecord
-	if err := json.Unmarshal(data, &wires); err != nil {
-		return nil, fmt.Errorf("bench: decode records: %w", err)
-	}
-	recs := make([]Record, len(wires))
-	for i, w := range wires {
-		recs[i] = FromWire(w)
-	}
-	return recs, nil
+	return row
 }

@@ -205,23 +205,19 @@ func RegionTable(runs []RegionRun) *Table {
 	return t
 }
 
-// RegionRecords converts region runs into typed S4 records. The window-1
-// settled drive is deterministic, so the rows gate at a tight band.
-func RegionRecords(runs []RegionRun) []RegionRecord {
-	out := make([]RegionRecord, 0, len(runs))
+// RegionRecords converts region runs into S4 rows.
+func RegionRecords(runs []RegionRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
 		st := r.Stats
-		out = append(out, RegionRecord{
-			Base: baseFromRun(PlacementRun{Label: r.Label, Policy: "mincost", Planner: true, Stats: st}, 15),
-			Speculation: Speculation{
-				Predictor:           r.Predictor,
-				PrefetchHits:        st.PrefetchHits,
-				PrefetchAborted:     st.PrefetchAborted,
-				PrefetchBytes:       st.PrefetchBytes,
-				PrefetchWastedBytes: st.PrefetchWasted,
-				HiddenMs:            float64(st.HiddenConfig.Microseconds()) / 1e3,
-			},
-		})
+		row := PlacementRun{Label: r.Label, Policy: "mincost", Planner: true, Stats: st}.Row("S4")
+		row.Predictor = r.Predictor
+		row.PrefetchHits = st.PrefetchHits
+		row.PrefetchAborted = st.PrefetchAborted
+		row.PrefetchBytes = st.PrefetchBytes
+		row.PrefetchWastedBytes = st.PrefetchWasted
+		row.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
+		out = append(out, row)
 	}
 	return out
 }

@@ -85,7 +85,7 @@ func TestRegionTableShape(t *testing.T) {
 		t.Fatalf("raw values %v do not carry the runs' visible config times", tb.Raw())
 	}
 	recs := RegionRecords([]RegionRun{r1, r2})
-	if len(recs) != 2 || recs[0].Suite() != "S4" || recs[0].TolerancePct != 15 {
-		t.Fatalf("records %+v, want S4 rows at 15%% tolerance", recs[0])
+	if len(recs) != 2 || recs[0].Table != "S4" || recs[0].Label != r1.Label {
+		t.Fatalf("records %+v, want S4 rows keyed by the run labels", recs[0])
 	}
 }

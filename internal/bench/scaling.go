@@ -283,28 +283,25 @@ func ScalingTable(runs []ScalingRun) *Table {
 	return t
 }
 
-// ScalingRecords converts scaling runs for JSON emission. The gated
-// metrics (config_ms, bytes_streamed) are zero by construction for the
-// all-hit drive, so benchdiff's zero-baseline absolute gate pins them: a
-// fresh run that misses even once fails the gate. The throughput and
-// percentile fields are host- or schedule-dependent and informational.
-func ScalingRecords(runs []ScalingRun) []ScalingRecord {
-	out := make([]ScalingRecord, 0, len(runs))
+// ScalingRecords converts scaling runs into S6 rows. The gated pair
+// (config_ms, bytes_streamed) is zero by construction for the all-hit
+// drive, so benchdiff's zero-baseline absolute gate pins it: a fresh run
+// that misses even once fails the gate.
+func ScalingRecords(runs []ScalingRun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		out = append(out, ScalingRecord{
-			// Tolerance 0: the zero baselines gate on absolute epsilon.
-			Base:             baseFromRun(PlacementRun{Label: r.Label, Policy: "lru", Planner: true, Stats: r.Stats}, 0),
-			Shards:           r.Shards,
-			OfferedLoad:      r.Rho,
-			Process:          r.Process,
-			ThroughputRPS:    r.RealThroughput(),
-			SimThroughputRPS: r.SimThroughput(),
-			P50Ms:            r.P50.Milliseconds(),
-			P95Ms:            r.P95.Milliseconds(),
-			P99Ms:            r.P99.Milliseconds(),
-			Steals:           r.Stats.Steals,
-			StolenRequests:   r.Stats.StolenRequests,
-		})
+		row := PlacementRun{Label: r.Label, Policy: "lru", Planner: true, Stats: r.Stats}.Row("S6")
+		row.Shards = r.Shards
+		row.OfferedLoad = r.Rho
+		row.ArrivalProcess = r.Process
+		row.ThroughputRPS = r.RealThroughput()
+		row.SimThroughputRPS = r.SimThroughput()
+		row.P50Ms = r.P50.Milliseconds()
+		row.P95Ms = r.P95.Milliseconds()
+		row.P99Ms = r.P99.Milliseconds()
+		row.Steals = r.Stats.Steals
+		row.StolenRequests = r.Stats.StolenRequests
+		out = append(out, row)
 	}
 	return out
 }

@@ -50,9 +50,8 @@ func TestScalingRunAllHit(t *testing.T) {
 }
 
 // TestScalingRecordsAndTable checks the S6 emission: records keyed for
-// the bench gate (table S6, zero tolerance so the zero baselines gate on
-// benchdiff's absolute epsilon) and a rendered table carrying the
-// speedup note.
+// the bench gate (table S6, the all-hit zeros the gate pins on its
+// absolute epsilon) and a rendered table carrying the speedup note.
 func TestScalingRecordsAndTable(t *testing.T) {
 	spec := scalingTestSpec()
 	spec.N = 120
@@ -67,11 +66,8 @@ func TestScalingRecordsAndTable(t *testing.T) {
 	}
 	recs := ScalingRecords(runs)
 	for i, rec := range recs {
-		if rec.Suite() != "S6" || rec.Label != runs[i].Label {
-			t.Fatalf("record %d keyed %s/%s, want S6/%s", i, rec.Suite(), rec.Label, runs[i].Label)
-		}
-		if rec.TolerancePct != 0 {
-			t.Fatalf("record %d tolerance %v, want 0 (zero baselines gate absolutely)", i, rec.TolerancePct)
+		if rec.Table != "S6" || rec.Label != runs[i].Label {
+			t.Fatalf("record %d keyed %s/%s, want S6/%s", i, rec.Table, rec.Label, runs[i].Label)
 		}
 		if rec.ConfigMs != 0 || rec.BytesStreamed != 0 {
 			t.Fatalf("record %d config_ms=%v bytes=%d, want the all-hit zeros", i, rec.ConfigMs, rec.BytesStreamed)

@@ -174,27 +174,21 @@ func SLORuns(spec SLOSpec) ([]SLORun, error) {
 	return runs, nil
 }
 
-// SLORecords converts S9 runs into typed records. Unlike every other
-// latency column in the bench economy, the percentiles here are
-// deterministic, so all three are gated metrics: a commit that moves p99
-// past the band fails benchdiff the same way a config_ms regression does.
-func SLORecords(runs []SLORun) []SLORecord {
-	out := make([]SLORecord, 0, len(runs))
+// SLORecords converts S9 runs into rows. Unlike every other latency
+// column in the bench economy, the percentiles here are deterministic, so
+// the declaration gates all three: a commit that moves p99 past the band
+// fails benchdiff the same way a config_ms regression does.
+func SLORecords(runs []SLORun) []PlacementRecord {
+	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		out = append(out, SLORecord{
-			Base: baseFromRun(PlacementRun{
-				Label:   r.Label,
-				Policy:  "lru",
-				Planner: true,
-				Stats:   r.Stats,
-			}, 0),
-			Process:          r.Process,
-			OfferedLoad:      r.Rho,
-			P50Ms:            r.P50.Milliseconds(),
-			P95Ms:            r.P95.Milliseconds(),
-			P99Ms:            r.P99.Milliseconds(),
-			SimThroughputRPS: r.SimThroughput(),
-		})
+		row := PlacementRun{Label: r.Label, Policy: "lru", Planner: true, Stats: r.Stats}.Row("S9")
+		row.ArrivalProcess = r.Process
+		row.OfferedLoad = r.Rho
+		row.P50Ms = r.P50.Milliseconds()
+		row.P95Ms = r.P95.Milliseconds()
+		row.P99Ms = r.P99.Milliseconds()
+		row.SimThroughputRPS = r.SimThroughput()
+		out = append(out, row)
 	}
 	return out
 }

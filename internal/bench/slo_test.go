@@ -87,31 +87,39 @@ func TestSLORunsShape(t *testing.T) {
 // percentiles ride as gated metrics — the suite is deterministic, so
 // benchdiff holds them to its tight SLO band.
 func TestSLORecordWire(t *testing.T) {
-	rec := SLORecord{
-		Base:        Base{Label: "rho-4/poisson", Policy: "lru", Planner: true},
-		Process:     "poisson",
-		OfferedLoad: 4,
-		P50Ms:       0.25, P95Ms: 0.5, P99Ms: 0.75,
+	rec := PlacementRecord{
+		Table: "S9", Label: "rho-4/poisson", Policy: "lru", Planner: true,
+		ArrivalProcess: "poisson", OfferedLoad: 4,
+		P50Ms: 0.25, P95Ms: 0.5, P99Ms: 0.75,
 		SimThroughputRPS: 123456,
 	}
-	if rec.Suite() != "S9" || !rec.Deterministic() {
-		t.Fatalf("S9 record: suite %q deterministic %v", rec.Suite(), rec.Deterministic())
+	suite := SuiteOf(rec.Table)
+	if !suite.Deterministic {
+		t.Fatal("S9 must be declared deterministic")
 	}
-	names := map[string]float64{}
-	for _, m := range rec.Metrics() {
-		names[m.Name] = m.Value
+	values := map[string]float64{}
+	for _, e := range HistoryEntries([]PlacementRecord{rec}, "abc1234") {
+		values[e.Metric] = e.Value
 	}
 	for name, want := range map[string]float64{"p50_ms": 0.25, "p95_ms": 0.5, "p99_ms": 0.75} {
-		if got, ok := names[name]; !ok || got != want {
+		if got, ok := values[rec.Label+"/"+name]; !ok || got != want {
 			t.Errorf("metric %s = %v (present %v), want %v", name, got, ok, want)
 		}
 	}
-	w := rec.Wire()
-	back, ok := FromWire(w).(SLORecord)
-	if !ok {
-		t.Fatalf("S9 wire row lowered to %T", FromWire(w))
+	for _, m := range suite.Metrics {
+		if !suite.Gated(m) {
+			t.Errorf("S9 %s not gated", m.Name)
+		}
 	}
-	if !reflect.DeepEqual(rec, back) {
+	data, err := MarshalRecords([]PlacementRecord{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeRecords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 1 || !reflect.DeepEqual(rec, back[0]) {
 		t.Fatalf("wire round trip:\n in  %+v\n out %+v", rec, back)
 	}
 }

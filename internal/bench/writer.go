@@ -2,87 +2,60 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 
 	"repro/internal/bench/gate"
 )
 
-// Writer accumulates typed bench records and emits them in both on-disk
-// forms: the committed BENCH_sched.json layout (byte-compatible with the
-// pre-refactor emitter, so cmd/benchdiff and the committed baseline are
-// untouched) and the append-only per-commit history store
-// (artifacts/bench/history.jsonl) that cmd/benchboard renders.
-type Writer struct {
-	recs []Record
-}
-
-// NewWriter returns a Writer over any initial records.
-func NewWriter(recs ...Record) *Writer {
-	return &Writer{recs: recs}
-}
-
-// Add appends records in emission order.
-func (w *Writer) Add(recs ...Record) {
-	w.recs = append(w.recs, recs...)
-}
-
-// AddRecords appends a typed slice — the suites return concrete record
-// types, and a []ScheduleRecord is not a []Record.
-func AddRecords[R Record](w *Writer, recs []R) {
-	for _, r := range recs {
-		w.recs = append(w.recs, r)
-	}
-}
-
-// Records returns the accumulated records in emission order.
-func (w *Writer) Records() []Record { return w.recs }
-
-// MarshalWire renders the records in the legacy BENCH_sched.json layout:
-// an indented JSON array of wire rows plus a trailing newline, byte-equal
-// to what the pre-refactor emitter wrote for the same rows.
-func (w *Writer) MarshalWire() ([]byte, error) {
-	wires := make([]PlacementRecord, len(w.recs))
-	for i, r := range w.recs {
-		wires[i] = r.Wire()
-	}
-	data, err := json.MarshalIndent(wires, "", "  ")
+// MarshalRecords renders rows in the BENCH_sched.json layout: an indented
+// JSON array plus a trailing newline — the committed baseline, the
+// archived snapshots and cmd/benchdiff's input.
+func MarshalRecords(rows []PlacementRecord) ([]byte, error) {
+	data, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
 }
 
-// WriteFile writes the legacy layout to path.
-func (w *Writer) WriteFile(path string) error {
-	data, err := w.MarshalWire()
+// WriteRecords writes rows to path in the BENCH_sched.json layout.
+func WriteRecords(path string, rows []PlacementRecord) error {
+	data, err := MarshalRecords(rows)
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
 }
 
-// HistoryEntries renders every record's metrics as history lines keyed by
-// the given commit SHA: one entry per (suite, label, metric).
-func (w *Writer) HistoryEntries(sha string) []gate.Entry {
+// DecodeRecords parses a BENCH_sched.json-layout document — the inverse of
+// MarshalRecords, shared by cmd/benchdiff and cmd/benchboard. Fields a
+// reader no longer knows (the per-row tolerance_pct of older snapshots)
+// are ignored.
+func DecodeRecords(data []byte) ([]PlacementRecord, error) {
+	var rows []PlacementRecord
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return nil, fmt.Errorf("bench: decode records: %w", err)
+	}
+	return rows, nil
+}
+
+// HistoryEntries renders every row's declared metrics as history lines
+// keyed by the given commit SHA: one entry per (suite, label, metric).
+func HistoryEntries(rows []PlacementRecord, sha string) []gate.Entry {
 	var out []gate.Entry
-	for _, r := range w.recs {
-		for _, m := range r.Metrics() {
+	for _, r := range rows {
+		s := SuiteOf(r.Table)
+		for _, m := range s.Metrics {
 			out = append(out, gate.Entry{
 				SHA:           sha,
-				Suite:         r.Suite(),
-				Metric:        r.Key() + "/" + m.Name,
-				Value:         m.Value,
+				Suite:         s.ID,
+				Metric:        r.Label + "/" + m.Name,
+				Value:         r.Value(m.Name),
 				Unit:          m.Unit,
-				Deterministic: r.Deterministic(),
-				TolerancePct:  r.Tolerance(),
+				Deterministic: s.Deterministic,
 			})
 		}
 	}
 	return out
-}
-
-// AppendHistory appends the records' metrics to the history file under
-// the given commit SHA, creating the file as needed.
-func (w *Writer) AppendHistory(path, sha string) error {
-	return gate.AppendEntries(path, w.HistoryEntries(sha))
 }
