@@ -85,9 +85,11 @@ benchboard-md:
 # Trace/metrics smoke: deterministic trace export (two paced runs are
 # byte-identical), the zero-overhead disabled path, span-sum conservation
 # against the scheduler's Stats accounting, the metrics registry and the
-# gated S9 SLO replay, under the race detector.
+# gated S9 SLO replay (its shape and wire rows, and that two runs emit
+# byte-identical rows), under the race detector.
 tracesmoke:
 	go test -run 'Trace|Metrics|SLO' -race ./...
+	go test -run 'DeclaredSuitesReproduce/S9' -race ./internal/bench
 
 # Render a Perfetto-loadable Chrome trace of the S8 paired drive (the
 # densest deterministic load-path exercise: differential, compressed and
@@ -121,10 +123,12 @@ fuzz:
 regionsmoke:
 	go test -run Region -race ./...
 
-# Fault smoke: injection, readback scrubbing, quarantine/repair and the
-# scrub/abort interaction, under the race detector.
+# Fault smoke: injection, readback scrubbing, quarantine/repair, the
+# scrub/abort interaction and the S7 sweep (two runs emit byte-identical
+# rows), under the race detector.
 faultsmoke:
 	go test -run 'Fault|Scrub' -race ./...
+	go test -run 'DeclaredSuitesReproduce/S7' -race ./internal/bench
 
 # Compression/DMA smoke: the compressed codec round trip, the planner's
 # fourth stream kind, decode-side hazard gating and sibling-region DMA

@@ -94,6 +94,12 @@ func loadCharts(path string) ([]*chart, int, error) {
 	var shaOrder []string
 	shaSeen := make(map[string]bool)
 	for _, e := range entries {
+		// The plain sample is the plotted value; the min/median noise
+		// entries of `fpgad -samples K` ride after it and must not
+		// overwrite it.
+		if e.Stat != "" {
+			continue
+		}
 		k := sampleKey{e.SHA, e.Suite, e.Metric}
 		// Last write wins: a re-run of the same commit refreshes its row.
 		if _, seen := samples[k]; !seen {

@@ -269,3 +269,33 @@ func TestLegacyVerdictLinesIgnored(t *testing.T) {
 		t.Fatalf("points %+v: want the 2.1 sample, unflagged", pts)
 	}
 }
+
+// TestNoiseEntriesDoNotReplaceSample: the min/median entries that
+// `fpgad -samples K` appends after a commit's plain sample leave the
+// plotted value at the plain sample.
+func TestNoiseEntriesDoNotReplaceSample(t *testing.T) {
+	dir := t.TempDir()
+	history := filepath.Join(dir, "history.jsonl")
+	lines := `{"sha":"aaa111","suite":"S2","metric":"lru+planner/config_ms","value":30,"unit":"ms"}
+{"sha":"aaa111","suite":"S2","metric":"lru+planner/config_ms","value":22,"unit":"ms","stat":"min"}
+{"sha":"aaa111","suite":"S2","metric":"lru+planner/config_ms","value":27,"unit":"ms","stat":"median"}
+`
+	if err := os.WriteFile(history, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	charts, skipped, err := loadCharts(history)
+	if err != nil || skipped != 0 || len(charts) != 1 {
+		t.Fatalf("charts: %v, skipped %d, %d charts", err, skipped, len(charts))
+	}
+	md := filepath.Join(dir, "t.md")
+	if err := writeMarkdown(md, charts); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "| aaa111 | 30.000 |") {
+		t.Fatalf("markdown does not plot the plain 30 ms sample:\n%s", data)
+	}
+}

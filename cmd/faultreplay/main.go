@@ -60,10 +60,7 @@ func run(args []string, out, errw io.Writer) int {
 	spec := bench.FaultSpec{
 		Boards:   *boards,
 		Regions:  *regions,
-		Seed:     *seed,
-		N:        *n,
-		Mix:      *mixSpec,
-		Batch:    *batch,
+		Workload: bench.Workload{Seed: *seed, N: *n, Mix: *mixSpec, Batch: *batch},
 		Scenario: *scenario,
 	}
 	if *outPath != "" {

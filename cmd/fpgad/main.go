@@ -27,6 +27,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +38,6 @@ import (
 	runtimepprof "runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/bench/gate"
@@ -190,22 +190,13 @@ func run(args []string, out, errw io.Writer) int {
 		}()
 	}
 	spec := bench.PlacementSpec{
-		Pool:  pool.Config{Sys32: *sys32, Sys64: *sys64, Regions: *regions},
-		Seed:  *seed,
-		N:     *n,
-		Mix:   *mixSpec,
-		Batch: *batch,
+		Pool:     pool.Config{Sys32: *sys32, Sys64: *sys64, Regions: *regions},
+		Workload: bench.Workload{Seed: *seed, N: *n, Mix: *mixSpec, Batch: *batch},
 	}
 	if fs.Arg(0) == "floorplan" {
 		return runFloorplan(spec.Pool, out, errw)
 	}
-	policy, err := sched.PolicyByName(*policyName)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 2
-	}
-	mix, err := sched.ParseMix(*mixSpec)
-	if err != nil {
+	if _, err := sched.ParseMix(*mixSpec); err != nil {
 		fmt.Fprintln(errw, "fpgad:", err)
 		return 2
 	}
@@ -219,56 +210,11 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		return runCompare(spec, *jsonPath, *historyPath, *shaFlag, tracer, *tracePath, *samples, out, errw)
 	}
-	opts := sched.Options{Batch: *batch, Policy: policy, Shards: *shards, Trace: tracer}
+	d := bench.Drive{Pool: spec.Pool, CompleteOnly: !*planOn, Policy: *policyName, Shards: *shards, Trace: tracer,
+		Workload: spec.Workload, Shape: bench.Upfront}
 	if *prefetchOn {
-		pred, err := predict.New(*predictorName)
-		if err != nil {
-			fmt.Fprintln(errw, "fpgad:", err)
-			return 2
-		}
-		opts.Prefetch, opts.Predictor = true, pred
+		d.Predictor = *predictorName
 	}
-	w, err := sched.GenWorkload(*seed, *n, mix)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 2
-	}
-	p, err := pool.New(spec.Pool)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 2
-	}
-	p.SetPlanning(*planOn)
-	streams := "planned (differential where safe)"
-	if !*planOn {
-		streams = "complete only"
-	}
-	prefetchDesc := "off"
-	if *prefetchOn {
-		prefetchDesc = "on (" + *predictorName + ")"
-	}
-	fmt.Fprintf(out, "pool: %d member(s); workload: %d request(s), mix %s, batch %d, policy %s, streams %s, prefetch %s, shards %d\n\n",
-		p.Size(), *n, *mixSpec, *batch, policy.Name(), streams, prefetchDesc, *shards)
-
-	s := sched.New(p, opts)
-	failed := 0
-	var results []sched.Result
-	report := func(r sched.Result) {
-		results = append(results, r)
-		if r.Err != nil {
-			failed++
-			fmt.Fprintf(errw, "fpgad: request %d (%s): %v\n", r.ID, r.Task, r.Err)
-			return
-		}
-		if *verbose {
-			fmt.Fprintf(out, "req %3d %-20s member %d/r%d (%s)  stream %-12s %8d B  config %-12v work %v\n",
-				r.ID, r.Task, r.Member, r.Region, r.System, r.Report.Kind, r.Report.BytesStreamed,
-				r.Report.Config, r.Report.Work)
-		}
-	}
-	var sojourns []sim.Time
-	var makespan sim.Time
-	start := time.Now()
 	switch {
 	case *rate > 0:
 		// Open-loop: every request carries its generated Poisson arrival
@@ -280,144 +226,163 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 2
 		}
-		chs := make([]<-chan sched.Result, len(w))
-		for i := range w {
-			chs[i] = s.SubmitAt(w[i], arr[i])
-		}
-		for _, ch := range chs {
-			r := <-ch
-			report(r)
-			if r.Err == nil {
-				sojourns = append(sojourns, r.Sojourn)
-				if r.DoneAt > makespan {
-					makespan = r.DoneAt
-				}
-			}
-		}
+		d.Shape, d.Arrivals = bench.OpenLoop, arr
 	case *window > 0:
-		s.SubmitWindowed(w, *window, report)
-	default:
-		for _, ch := range s.SubmitAll(w) {
-			report(<-ch)
+		d.Shape, d.Window = bench.Windowed, *window
+	}
+	return runSingle(d, report{verbose: *verbose, arrivals: *arrivals, rate: *rate,
+		tracePath: *tracePath, jsonPath: *jsonPath, historyPath: *historyPath, sha: *shaFlag}, out, errw)
+}
+
+// report selects what a single run prints and writes beside the S1 table.
+type report struct {
+	verbose, arrivals bool
+	rate              float64
+	tracePath         string
+	jsonPath          string
+	historyPath, sha  string
+}
+
+// runSingle drives one configuration through bench.Drive — which fails on
+// the first request error and on a corrupted static design — and reports
+// it: the S1 throughput table, open-loop sojourns, the S5 replay, prefetch
+// economics, each member's final state, and the trace and JSON artifacts.
+// A drive that fails before submitting anything exits 2, any other failure
+// 1.
+func runSingle(d bench.Drive, rep report, out, errw io.Writer) int {
+	streams := "planned (differential where safe)"
+	if d.CompleteOnly {
+		streams = "complete only"
+	}
+	prefetchDesc := "off"
+	if d.Predictor != "" {
+		prefetchDesc = "on (" + d.Predictor + ")"
+	}
+	fmt.Fprintf(out, "pool: %d member(s); workload: %d request(s), mix %s, batch %d, policy %s, streams %s, prefetch %s, shards %d\n\n",
+		d.Pool.Sys32+d.Pool.Sys64, d.N, d.Mix, d.Batch, d.Policy, streams, prefetchDesc, d.Shards)
+	if rep.verbose {
+		d.OnResult = func(_ *pool.Pool, _ *sched.Scheduler, r sched.Result) error {
+			fmt.Fprintf(out, "req %3d %-20s member %d/r%d (%s)  stream %-12s %8d B  config %-12v work %v\n",
+				r.ID, r.Task, r.Member, r.Region, r.System, r.Report.Kind, r.Report.BytesStreamed,
+				r.Report.Config, r.Report.Work)
+			return nil
 		}
 	}
-	s.Wait()
-	elapsed := time.Since(start)
-	if *verbose {
+	res, err := d.Run()
+	if err != nil {
+		fmt.Fprintln(errw, "fpgad:", err)
+		if errors.As(err, new(bench.SetupError)) {
+			return 2
+		}
+		return 1
+	}
+	if rep.verbose {
 		fmt.Fprintln(out)
 	}
-	st := s.Stats()
-	bench.ThroughputTable(st, results...).Format(out)
-	if *rate > 0 && len(sojourns) > 0 {
+	st := res.Stats
+	bench.ThroughputTable(st, res.Results...).Format(out)
+	var sojourns []sim.Time
+	var makespan sim.Time
+	if d.Shape == bench.OpenLoop {
+		for _, r := range res.Results {
+			sojourns = append(sojourns, r.Sojourn)
+			makespan = max(makespan, r.DoneAt)
+		}
 		pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
 		fmt.Fprintf(out, "open-loop: %.0f req/s offered (simulated), sojourn p50 %v p95 %v p99 %v, makespan %v, sustained %.0f req/s (real)",
-			*rate, pct[0], pct[1], pct[2], makespan, float64(len(sojourns))/elapsed.Seconds())
+			rep.rate, pct[0], pct[1], pct[2], makespan, float64(len(sojourns))/res.Elapsed.Seconds())
 		if st.Steals > 0 {
 			fmt.Fprintf(out, ", %d steal(s) moved %d request(s)", st.Steals, st.StolenRequests)
 		}
 		fmt.Fprintln(out)
 	}
-	var arrivalRuns []bench.ArrivalRun
-	if *arrivals {
-		arrivalRuns, err = bench.ArrivalRuns(spec, *seed, []float64{0.7, 0.95})
+	var arrivalRows []bench.PlacementRecord
+	if rep.arrivals {
+		tb, rows, err := bench.ArrivalSpec(bench.PlacementSpec{Pool: d.Pool, Workload: d.Workload}).Run()
 		if err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 1
 		}
-		bench.ArrivalTableFromRuns(arrivalRuns).Format(out)
+		tb.Format(out)
+		arrivalRows = rows
 	}
-	if *prefetchOn {
+	if d.Predictor != "" {
 		fmt.Fprintf(out, "prefetch: %d issued, %d hits, %d aborted; hidden config %v, speculative %d B (%d B wasted)\n",
 			st.PrefetchIssued, st.PrefetchHits, st.PrefetchAborted,
 			st.HiddenConfig, st.PrefetchBytes, st.PrefetchWasted)
 	}
-	for _, m := range p.Snapshot() {
+	for _, m := range res.Pool.Snapshot() {
 		for _, r := range m.Regions {
-			state := "intact"
-			if r.Corrupted {
-				state = "CORRUPTED"
-			}
 			resident := r.Resident
 			if resident == "" {
 				resident = "(blank)"
 			}
-			fmt.Fprintf(out, "member %d (%s) %s: resident %-14s loads %-3d (%d complete / %d diff / %d aborted)  config time %-12v static %s\n",
-				m.ID, m.System, r.Region, resident, r.Loads, r.CompleteLoads, r.DiffLoads, r.AbortedLoads, r.LoadTime, state)
+			fmt.Fprintf(out, "member %d (%s) %s: resident %-14s loads %-3d (%d complete / %d diff / %d aborted)  config time %-12v static intact\n",
+				m.ID, m.System, r.Region, resident, r.Loads, r.CompleteLoads, r.DiffLoads, r.AbortedLoads, r.LoadTime)
 		}
 	}
-	if *tracePath != "" {
-		if err := writeTrace(tracer, *tracePath); err != nil {
+	if rep.tracePath != "" {
+		if err := writeTrace(d.Trace, rep.tracePath); err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
 			return 1
 		}
-		fmt.Fprintf(out, "trace: wrote %s (%d event(s))\n", *tracePath, tracer.Len())
+		fmt.Fprintf(out, "trace: wrote %s (%d event(s))\n", rep.tracePath, d.Trace.Len())
 	}
-	if *jsonPath != "" {
-		// Same label scheme as the -compare records, so trajectory
-		// consumers see one series per configuration. A paced or prefetch
-		// run is a different experiment than the canonical SubmitAll S2
-		// series: it keys under its own "single" table and label.
-		label := policy.Name() + "+complete-only"
-		if *planOn {
-			label = policy.Name() + "+planner"
-		}
-		table := "S2"
-		if *prefetchOn || *window > 0 || *regions != 1 || *shards != 1 || *rate > 0 {
-			table = "single"
-		}
-		r := bench.PlacementRun{Label: label, Policy: policy.Name(), Planner: *planOn, Stats: st}.Row(table)
-		if *regions != 1 {
-			r.Label += fmt.Sprintf("+regions%d", *regions)
-		}
-		if *shards != 1 {
-			r.Label += fmt.Sprintf("+shards%d", *shards)
-			r.Shards = *shards
-			r.Steals = st.Steals
-			r.StolenRequests = st.StolenRequests
-		}
-		if *rate > 0 {
-			r.Label += fmt.Sprintf("+rate%g", *rate)
-			r.ArrivalProcess = "poisson"
-			r.ThroughputRPS = float64(len(sojourns)) / elapsed.Seconds()
-			if len(sojourns) > 0 {
-				pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
-				r.P50Ms = pct[0].Milliseconds()
-				r.P95Ms = pct[1].Milliseconds()
-				r.P99Ms = pct[2].Milliseconds()
-			}
-		}
-		if *window > 0 {
-			r.Label += fmt.Sprintf("+window%d", *window)
-			r.Window = *window
-		}
-		if *prefetchOn {
-			r.Label += "+prefetch-" + *predictorName
-			r.Predictor = *predictorName
-			r.PrefetchHits = st.PrefetchHits
-			r.PrefetchAborted = st.PrefetchAborted
-			r.PrefetchBytes = st.PrefetchBytes
-			r.PrefetchWastedBytes = st.PrefetchWasted
-			r.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
-		}
-		// A single run's -arrivals replay rides along as S5 rows: the one
-		// latency table the -compare sweep does not emit.
-		rows := append([]bench.PlacementRecord{r}, bench.ArrivalRecords(arrivalRuns)...)
-		if err := bench.WriteRecords(*jsonPath, rows); err != nil {
-			fmt.Fprintln(errw, "fpgad:", err)
-			return 1
-		}
-		if *historyPath != "" {
-			if err := gate.AppendEntries(*historyPath, bench.HistoryEntries(rows, *shaFlag)); err != nil {
-				fmt.Fprintln(errw, "fpgad:", err)
-				return 1
-			}
-		}
-		fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
+	if rep.jsonPath == "" {
+		return 0
 	}
-	if failed > 0 {
-		fmt.Fprintf(errw, "fpgad: %d request(s) failed\n", failed)
+	// Same label scheme as the -compare records, so trajectory consumers
+	// see one series per configuration. Any run other than the canonical
+	// upfront S2 drive is a different experiment: it keys under its own
+	// "single" table and label.
+	label := d.Policy + "+planner"
+	if d.CompleteOnly {
+		label = d.Policy + "+complete-only"
+	}
+	table := "S2"
+	if d.Predictor != "" || d.Shape != bench.Upfront || d.Pool.Regions != 1 || d.Shards != 1 {
+		table = "single"
+	}
+	r := bench.Run{Label: label, Drive: d, Stats: st}.Row(table)
+	if d.Pool.Regions != 1 {
+		r.Label += fmt.Sprintf("+regions%d", d.Pool.Regions)
+	}
+	if d.Shards != 1 {
+		r.Label += fmt.Sprintf("+shards%d", d.Shards)
+		r.Shards = d.Shards
+		r.Steals = st.Steals
+		r.StolenRequests = st.StolenRequests
+	}
+	if d.Shape == bench.OpenLoop {
+		r.Label += fmt.Sprintf("+rate%g", rep.rate)
+		r.ArrivalProcess = "poisson"
+		r.ThroughputRPS = float64(len(sojourns)) / res.Elapsed.Seconds()
+		pct := bench.Percentiles(sojourns, 0.50, 0.95, 0.99)
+		r.P50Ms = pct[0].Milliseconds()
+		r.P95Ms = pct[1].Milliseconds()
+		r.P99Ms = pct[2].Milliseconds()
+	}
+	if d.Shape == bench.Windowed {
+		r.Label += fmt.Sprintf("+window%d", d.Window)
+		r.Window = d.Window
+	}
+	if d.Predictor != "" {
+		r.Label += "+prefetch-" + d.Predictor
+	}
+	// A single run's -arrivals replay rides along as S5 rows: the one
+	// latency table the -compare sweep does not emit.
+	rows := append([]bench.PlacementRecord{r}, arrivalRows...)
+	if err := bench.WriteRecords(rep.jsonPath, rows); err != nil {
+		fmt.Fprintln(errw, "fpgad:", err)
 		return 1
 	}
+	if rep.historyPath != "" {
+		if err := gate.AppendEntries(rep.historyPath, bench.HistoryEntries(rows, rep.sha)); err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
+		}
+	}
+	fmt.Fprintf(out, "\nwrote %s\n", rep.jsonPath)
 	return 0
 }
 
@@ -436,52 +401,22 @@ func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
 	tracer *trace.Tracer, tracePath string, samples int, out, errw io.Writer) int {
 	fmt.Fprintf(out, "comparing configurations on the same workload: pool %d+%d, %d request(s), mix %s, batch %d, seed %d\n\n",
 		spec.Pool.Sys32, spec.Pool.Sys64, spec.N, spec.Mix, spec.Batch, spec.Seed)
-	runs, err := bench.PlacementRuns(spec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.PlacementTable(runs).Format(out)
-	pspec := bench.PrefetchSpec{PlacementSpec: spec, Window: bench.DefaultPrefetchSpec().Window}
-	pruns, err := bench.PrefetchRuns(pspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.PrefetchTable(pruns).Format(out)
-	rspec := bench.DefaultRegionSpec()
-	rspec.Seed, rspec.N, rspec.Mix, rspec.Batch = spec.Seed, spec.N, spec.Mix, spec.Batch
-	rruns, err := bench.RegionRuns(rspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.RegionTable(rruns).Format(out)
-	sruns, err := bench.ScalingRuns(bench.DefaultScalingSpec())
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.ScalingTable(sruns).Format(out)
-	fspec := bench.DefaultFaultSpec()
-	fspec.Seed, fspec.N, fspec.Mix, fspec.Batch = spec.Seed, spec.N, spec.Mix, spec.Batch
-	fruns, err := bench.FaultRuns(fspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
-	}
-	bench.FaultTable(fruns).Format(out)
-	cspec := bench.DefaultCompressSpec()
-	cspec.Seed, cspec.N, cspec.Mix, cspec.Batch = spec.Seed, spec.N, spec.Mix, spec.Batch
+	region, fault, compress := bench.DefaultRegionSpec(), bench.DefaultFaultSpec(), bench.DefaultCompressSpec()
+	region.Workload, fault.Workload, compress.Workload = spec.Workload, spec.Workload, spec.Workload
 	// Attach whenever a tracer exists: a -trace export gets the S8 paired
 	// drive, and a -pprof /metrics scrape sees the same events live.
-	cspec.Trace = tracer
-	cruns, err := bench.CompressRuns(cspec)
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
+	compress.Trace = tracer
+	var rows []bench.PlacementRecord
+	for _, s := range []bench.Spec{spec, bench.PrefetchSpec(spec), region, bench.DefaultScalingSpec(),
+		fault, compress, bench.DefaultSLOSpec()} {
+		tb, r, err := s.Run()
+		if err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
+		}
+		tb.Format(out)
+		rows = append(rows, r...)
 	}
-	bench.CompressTable(cruns).Format(out)
 	if tracePath != "" {
 		if err := writeTrace(tracer, tracePath); err != nil {
 			fmt.Fprintln(errw, "fpgad:", err)
@@ -489,40 +424,24 @@ func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
 		}
 		fmt.Fprintf(out, "trace: wrote %s (%d event(s), S8 paired drive)\n", tracePath, tracer.Len())
 	}
-	slruns, err := bench.SLORuns(bench.DefaultSLOSpec())
-	if err != nil {
-		fmt.Fprintln(errw, "fpgad:", err)
-		return 1
+	if jsonPath != "" {
+		if err := bench.WriteRecords(jsonPath, rows); err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
+		}
+		fmt.Fprintf(out, "wrote %s\n", jsonPath)
 	}
-	bench.SLOTable(slruns).Format(out)
-	if jsonPath != "" || historyPath != "" {
-		var rows []bench.PlacementRecord
-		for _, suite := range [][]bench.PlacementRecord{
-			bench.ScheduleRecords(runs), bench.PrefetchRecords(pruns), bench.RegionRecords(rruns),
-			bench.ScalingRecords(sruns), bench.FaultRecords(fruns), bench.CompressRecords(cruns),
-			bench.SLORecords(slruns),
-		} {
-			rows = append(rows, suite...)
+	if historyPath != "" {
+		entries := bench.HistoryEntries(rows, sha)
+		if err := gate.AppendEntries(historyPath, entries); err != nil {
+			fmt.Fprintln(errw, "fpgad:", err)
+			return 1
 		}
-		if jsonPath != "" {
-			if err := bench.WriteRecords(jsonPath, rows); err != nil {
+		fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(entries), historyPath, sha)
+		if samples > 1 {
+			if err := appendNoise(spec, rows, samples, historyPath, sha, out); err != nil {
 				fmt.Fprintln(errw, "fpgad:", err)
 				return 1
-			}
-			fmt.Fprintf(out, "wrote %s\n", jsonPath)
-		}
-		if historyPath != "" {
-			entries := bench.HistoryEntries(rows, sha)
-			if err := gate.AppendEntries(historyPath, entries); err != nil {
-				fmt.Fprintln(errw, "fpgad:", err)
-				return 1
-			}
-			fmt.Fprintf(out, "appended %d metric(s) to %s @ %s\n", len(entries), historyPath, sha)
-			if samples > 1 {
-				if err := appendNoise(spec, rows, samples, historyPath, sha, out); err != nil {
-					fmt.Fprintln(errw, "fpgad:", err)
-					return 1
-				}
 			}
 		}
 	}
@@ -531,7 +450,7 @@ func runCompare(spec bench.PlacementSpec, jsonPath, historyPath, sha string,
 
 // appendNoise estimates run-to-run noise on the host-dependent suites —
 // the ones the declaration (bench.Suites) marks nondeterministic: it
-// reruns their drives, S2 (concurrent SubmitAll placement) and S6
+// reruns their drives, S2 (concurrent upfront placement) and S6
 // (real-throughput capacity drive), samples-1 more times, then appends one
 // "min" and one "median" history entry per metric over all the samples.
 // The median is the lower middle of the sorted values, so it is always a
@@ -555,15 +474,13 @@ func appendNoise(spec bench.PlacementSpec, first []bench.PlacementRecord, sample
 	}
 	add(first)
 	for i := 1; i < samples; i++ {
-		runs, err := bench.PlacementRuns(spec)
-		if err != nil {
-			return err
+		for _, s := range []bench.Spec{spec, bench.DefaultScalingSpec()} {
+			_, rows, err := s.Run()
+			if err != nil {
+				return err
+			}
+			add(rows)
 		}
-		sruns, err := bench.ScalingRuns(bench.DefaultScalingSpec())
-		if err != nil {
-			return err
-		}
-		add(append(bench.ScheduleRecords(runs), bench.ScalingRecords(sruns)...))
 	}
 	var entries []gate.Entry
 	for _, k := range order {

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/pool"
+	"repro/internal/sched"
 )
 
 func TestRunSmallWorkload(t *testing.T) {
@@ -156,5 +160,28 @@ func TestRunArrivals(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestRunFailsCorruptedStaticDesign: a single run whose member's static
+// design ends up corrupted exits 1 and names the member, where it used to
+// print CORRUPTED in the member report and exit 0.
+func TestRunFailsCorruptedStaticDesign(t *testing.T) {
+	d := bench.Drive{Pool: pool.Config{Sys32: 1}, Policy: "lru",
+		Workload: bench.Workload{Seed: 3, N: 4, Mix: "brightness=1,fade=1", Batch: 1}, Shape: bench.Paced,
+		OnResult: func(p *pool.Pool, _ *sched.Scheduler, r sched.Result) error {
+			if r.ID != 2 {
+				return nil
+			}
+			// Paced: the member is settled, so the hazard load races nothing.
+			_, err := p.Members()[0].Sys.Mgr.LoadNaive("brightness")
+			return err
+		}}
+	var out, errw bytes.Buffer
+	if code := runSingle(d, report{}, &out, &errw); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "member 0 (sys32): static design corrupted") {
+		t.Errorf("stderr does not name the corrupted member:\n%s", errw.String())
 	}
 }

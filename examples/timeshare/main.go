@@ -51,7 +51,11 @@ func main() {
 			tasks.BrightnessRun{Seed: int64(step), N: n, Delta: 10 * (step + 1)},
 		)
 	}
-	for _, ch := range s.SubmitAll(workload) {
+	chs := make([]<-chan sched.Result, len(workload))
+	for i, t := range workload {
+		chs[i] = s.Submit(t)
+	}
+	for _, ch := range chs {
 		r := <-ch
 		if r.Err != nil {
 			log.Fatal(r.Err)

@@ -67,19 +67,27 @@ func TestReplayOpenLoopQueueing(t *testing.T) {
 	}
 }
 
+// reducedArrivalSpec is the S5 replay over a 24-request trace at offered
+// loads 0.5 and 0.9.
+func reducedArrivalSpec() ReplaySpec {
+	spec := DefaultPlacementSpec()
+	spec.N = 24
+	rs := ArrivalSpec(spec)
+	rs.Rhos = []float64{0.5, 0.9}
+	return rs
+}
+
 // TestArrivalTableShape builds S5 over a small paced trace: one row per
 // (load, process), p99 raw values present, and heavier load never improves
 // the p99 of the same process.
 func TestArrivalTableShape(t *testing.T) {
-	spec := DefaultPlacementSpec()
-	spec.N = 24
-	tb, err := ArrivalTable(spec, 5, []float64{0.5, 0.9})
+	tb, _, err := reducedArrivalSpec().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRows := 2 * len(ArrivalProcesses())
-	if len(tb.Rows) != wantRows || len(tb.Raw()) != wantRows {
-		t.Fatalf("table has %d rows / %d raw, want %d", len(tb.Rows), len(tb.Raw()), wantRows)
+	if tb.ID != "S5" || len(tb.Rows) != wantRows || len(tb.Raw()) != wantRows {
+		t.Fatalf("table %s has %d rows / %d raw, want S5 with %d", tb.ID, len(tb.Rows), len(tb.Raw()), wantRows)
 	}
 	procs := len(ArrivalProcesses())
 	for i := 0; i < procs; i++ {
@@ -91,36 +99,27 @@ func TestArrivalTableShape(t *testing.T) {
 }
 
 // TestArrivalRecords: the S5 rows — one per (process, rho), keyed for the
-// history — with the table built from the same runs matching the direct
-// ArrivalTable path.
+// history, in table order, carrying the table's p99.
 func TestArrivalRecords(t *testing.T) {
-	spec := DefaultPlacementSpec()
-	spec.N = 24
-	runs, err := ArrivalRuns(spec, 5, []float64{0.5, 0.9})
+	spec := reducedArrivalSpec()
+	runs, err := ReplayRuns(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := ArrivalRecords(runs)
-	if len(recs) != 2*len(ArrivalProcesses()) {
-		t.Fatalf("%d records, want one per (rho, process)", len(recs))
+	recs := ReplayRecords(spec, runs)
+	tb := ReplayTable(spec, runs)
+	if len(recs) != 2*len(ArrivalProcesses()) || len(recs) != len(tb.Rows) {
+		t.Fatalf("%d records, %d table rows: want one per (rho, process)", len(recs), len(tb.Rows))
 	}
-	for _, r := range recs {
-		if r.Table != "S5" || !strings.HasPrefix(r.Label, r.ArrivalProcess+"/rho-") {
-			t.Fatalf("record %s/%s: want S5 keyed process/rho", r.Table, r.Label)
+	for i, r := range recs {
+		if r.Table != "S5" || !strings.HasPrefix(r.Label, r.ArrivalProcess+"/rho-") || r.Policy != "mincost" {
+			t.Fatalf("record %s/%s (%s): want S5 keyed process/rho under mincost", r.Table, r.Label, r.Policy)
 		}
 		if r.ArrivalProcess == "" || r.P99Ms < r.P50Ms || r.SimThroughputRPS <= 0 {
 			t.Errorf("record %s implausible: %+v", r.Label, r)
 		}
-	}
-	var direct strings.Builder
-	tb, err := ArrivalTable(spec, 5, []float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Format(&direct)
-	var fromRuns strings.Builder
-	ArrivalTableFromRuns(runs).Format(&fromRuns)
-	if direct.String() != fromRuns.String() {
-		t.Error("ArrivalTable and ArrivalTableFromRuns render differently for the same inputs")
+		if r.ArrivalProcess != tb.Rows[i][0] || r.P99Ms != sim.Time(tb.Raw()[i]).Milliseconds() {
+			t.Errorf("record %d (%s, p99 %v ms) does not match table row %v", i, r.Label, r.P99Ms, tb.Rows[i])
+		}
 	}
 }

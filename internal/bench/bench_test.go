@@ -91,7 +91,11 @@ func TestThroughputTableFromScheduledWorkload(t *testing.T) {
 		tasks.FadeRun{Seed: 2, N: 256, F: 80},
 		tasks.BrightnessRun{Seed: 3, N: 256, Delta: 4},
 	}
-	for _, ch := range s.SubmitAll(w) {
+	chs := make([]<-chan sched.Result, len(w))
+	for i, task := range w {
+		chs[i] = s.Submit(task)
+	}
+	for _, ch := range chs {
 		if r := <-ch; r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/pool"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -21,10 +20,7 @@ import (
 type CompressSpec struct {
 	// Boards is the dual-region 64-bit member count.
 	Boards int
-	Seed   int64
-	N      int
-	Mix    string
-	Batch  int
+	Workload
 
 	// Trace, when non-nil, records every run's scheduler and load-path
 	// events — the paired drive is deterministic, so the recorded trace
@@ -36,115 +32,39 @@ type CompressSpec struct {
 // 60-request mixed workload of S2/S3/S4 over two dual-region 64-bit
 // boards.
 func DefaultCompressSpec() CompressSpec {
-	return CompressSpec{
-		Boards: 2,
-		Seed:   7,
-		N:      60,
-		Mix:    "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1",
-		Batch:  4,
-	}
+	return CompressSpec{Boards: 2, Workload: DefaultWorkload()}
 }
 
-// CompressRun is one load-path configuration's outcome over the paired
-// workload.
-type CompressRun struct {
-	Label    string
-	Policy   string
-	Planner  bool
-	Compress bool
-	DMA      bool
-	Stats    sched.Stats
-	// Availability is the useful-work fraction of the pool's busy
-	// simulated time (hidden DMA window parts never count against it —
-	// they overlapped work or sibling streams by definition).
-	Availability float64
-}
+// CompressRuns executes the canonical S8 comparison, every drive Paired
+// over the dual-region pool: the complete-only baseline, the differential
+// planner, the compressed load path, and the compressed load path over
+// the dock DMA engines with gang placement. The first three rows share
+// mincost placement and the CPU load path, so their deltas isolate what
+// each stream kind saves on the wire; the last row changes the path (DMA)
+// and the pairing (gang), so its delta is the visible-time win of
+// overlapping sibling configurations.
+func CompressRuns(spec CompressSpec) ([]Run, error) { return runAll(compressConfigs(spec)) }
 
-// RunCompress boots a fresh dual-region pool, applies the load-path
-// configuration, and drives the spec's workload in deterministic pairs.
-func RunCompress(spec CompressSpec, label, policyName string, planner, compress, dma bool) (CompressRun, error) {
-	run := CompressRun{Label: label, Policy: policyName, Planner: planner, Compress: compress, DMA: dma}
-	policy, err := sched.PolicyByName(policyName)
-	if err != nil {
-		return run, err
+// compressConfigs lists the labelled S8 drives.
+func compressConfigs(spec CompressSpec) []Run {
+	drive := Drive{Pool: pool.Config{Sys64: spec.Boards, Regions: 2}, Policy: "mincost", Trace: spec.Trace,
+		Workload: spec.Workload, Shape: Paired}
+	complete, diff, compressed, dma := drive, drive, drive, drive
+	complete.CompleteOnly = true
+	compressed.Compress = true
+	dma.Policy, dma.Compress, dma.DMA = "gang", true, true
+	return []Run{
+		{Label: "complete", Drive: complete},
+		{Label: "diff", Drive: diff},
+		{Label: "compressed", Drive: compressed},
+		{Label: "compressed+dma", Drive: dma},
 	}
-	mix, err := sched.ParseMix(spec.Mix)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(pool.Config{Sys64: spec.Boards, Regions: 2})
-	if err != nil {
-		return run, err
-	}
-	p.SetPlanning(planner)
-	p.SetCompression(compress)
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy, DMA: dma, Trace: spec.Trace})
-	var firstErr error
-	for i := 0; i < len(w); i += 2 {
-		end := i + 2
-		if end > len(w) {
-			end = len(w)
-		}
-		for _, ch := range s.SubmitBatch(w[i:end]) {
-			if r := <-ch; r.Err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-			}
-		}
-		settle(s)
-	}
-	s.Wait()
-	if firstErr != nil {
-		return run, firstErr
-	}
-	for _, m := range p.Snapshot() {
-		if m.Corrupted {
-			return run, fmt.Errorf("bench: member %d corrupted under %s", m.ID, label)
-		}
-	}
-	run.Stats = s.Stats()
-	run.Availability = availability(run.Stats)
-	return run, nil
-}
-
-// CompressRuns executes the canonical S8 comparison: the complete-only
-// baseline, the differential planner, the compressed load path, and the
-// compressed load path over the dock DMA engines with gang placement.
-// The first three rows share mincost placement and the CPU load path, so
-// their deltas isolate what each stream kind saves on the wire; the last
-// row changes the path (DMA) and the pairing (gang), so its delta is the
-// visible-time win of overlapping sibling configurations.
-func CompressRuns(spec CompressSpec) ([]CompressRun, error) {
-	configs := []struct {
-		label    string
-		policy   string
-		planner  bool
-		compress bool
-		dma      bool
-	}{
-		{"complete", "mincost", false, false, false},
-		{"diff", "mincost", true, false, false},
-		{"compressed", "mincost", true, true, false},
-		{"compressed+dma", "gang", true, true, true},
-	}
-	runs := make([]CompressRun, 0, len(configs))
-	for _, c := range configs {
-		r, err := RunCompress(spec, c.label, c.policy, c.planner, c.compress, c.dma)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
 }
 
 // CompressTable renders compress runs as table S8: what the compressed
 // container and the DMA load path are worth on the same paired workload.
 // Raw() carries each run's visible configuration time in femtoseconds.
-func CompressTable(runs []CompressRun) *Table {
+func CompressTable(runs []Run) *Table {
 	t := &Table{ID: "S8", Title: "Compressed containers and DMA-overlapped configuration on the paired seeded workload",
 		Columns: []string{"configuration", "hits", "misses", "diff", "complete", "compressed", "dma", "config time", "overlap config", "bytes streamed", "availability"}}
 	for _, r := range runs {
@@ -155,7 +75,7 @@ func CompressTable(runs []CompressRun) *Table {
 			fmt.Sprint(st.DMALoads),
 			fmtNS(float64(st.Config)), fmtNS(float64(st.OverlapConfig)),
 			fmt.Sprintf("%d B", st.BytesStreamed),
-			fmt.Sprintf("%.4f", r.Availability))
+			fmt.Sprintf("%.4f", availability(st)))
 		t.rawNS = append(t.rawNS, float64(st.Config))
 	}
 	if len(runs) >= 4 {
@@ -180,16 +100,24 @@ func CompressTable(runs []CompressRun) *Table {
 }
 
 // CompressRecords converts compress runs into S8 rows.
-func CompressRecords(runs []CompressRun) []PlacementRecord {
+func CompressRecords(runs []Run) []PlacementRecord {
 	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		st := r.Stats
-		row := PlacementRun{Label: r.Label, Policy: r.Policy, Planner: r.Planner, Stats: st}.Row("S8")
-		row.CompressedLoads = st.CompressedLoads
-		row.DMALoads = st.DMALoads
-		row.OverlapMs = st.OverlapConfig.Microseconds() / 1e3
-		row.Availability = r.Availability
+		row := r.Row("S8")
+		row.Availability = availability(r.Stats)
 		out = append(out, row)
 	}
 	return out
 }
+
+// Run drives the S8 comparison.
+func (spec CompressSpec) Run() (*Table, []PlacementRecord, error) {
+	runs, err := CompressRuns(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return CompressTable(runs), CompressRecords(runs), nil
+}
+
+// WithN returns the spec driving n requests per configuration.
+func (spec CompressSpec) WithN(n int) Spec { spec.N = n; return spec }

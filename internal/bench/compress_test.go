@@ -44,19 +44,19 @@ func TestCompressRunsAcceptance(t *testing.T) {
 	if dma.DMALoads == 0 || dma.OverlapConfig == 0 {
 		t.Errorf("DMA row: %d DMA loads, %v overlap — want both nonzero", dma.DMALoads, dma.OverlapConfig)
 	}
-	for i, r := range runs {
-		if r.Availability <= 0 || r.Availability > 1 {
-			t.Errorf("run %d (%s): availability %v out of range", i, r.Label, r.Availability)
+	recs := CompressRecords(runs)
+	for i, rec := range recs {
+		if rec.Availability <= 0 || rec.Availability > 1 {
+			t.Errorf("run %d (%s): availability %v out of range", i, rec.Label, rec.Availability)
 		}
 	}
 	// The DMA row does the same work with less visible configuration, so
 	// its availability is at least the CPU compressed row's.
-	if runs[3].Availability < runs[2].Availability {
+	if recs[3].Availability < recs[2].Availability {
 		t.Errorf("compressed+dma availability %.4f below compressed %.4f",
-			runs[3].Availability, runs[2].Availability)
+			recs[3].Availability, recs[2].Availability)
 	}
 
-	recs := CompressRecords(runs)
 	for i, rec := range recs {
 		if rec.Table != "S8" || rec.Label != runs[i].Label {
 			t.Errorf("record %d keyed %s/%s, want S8/%s", i, rec.Table, rec.Label, runs[i].Label)

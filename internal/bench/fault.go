@@ -10,33 +10,22 @@ import (
 )
 
 // FaultSpec pins the S7 availability evaluation: the S2/S3 seeded mixed
-// workload driven closed-loop over a dual-region pool while a seeded
+// workload driven Paced over a dual-region pool while a seeded
 // fault scenario flips configuration bits between completions and the
 // scrub/quarantine/repair loop cleans up. Scenario names a fault.Campaign
 // preset; the default sweep reports availability and tail latency against
 // the upset rate.
 type FaultSpec struct {
-	Boards   int
-	Regions  int
-	Seed     int64
-	N        int
-	Mix      string
-	Batch    int
+	Boards  int
+	Regions int
+	Workload
 	Scenario string
 }
 
 // DefaultFaultSpec is the committed S7 configuration: the seeded
 // 60-request mixed workload over a 2x2-region pool under the rate sweep.
 func DefaultFaultSpec() FaultSpec {
-	return FaultSpec{
-		Boards:   2,
-		Regions:  2,
-		Seed:     7,
-		N:        60,
-		Mix:      "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1",
-		Batch:    4,
-		Scenario: "sweep",
-	}
+	return FaultSpec{Boards: 2, Regions: 2, Workload: DefaultWorkload(), Scenario: "sweep"}
 }
 
 func (spec FaultSpec) pool() pool.Config {
@@ -57,8 +46,8 @@ func FaultScenarios(spec FaultSpec) ([]fault.Scenario, error) {
 // FaultRun is one scenario's outcome: the scheduler stats plus the
 // derived availability and latency percentiles.
 type FaultRun struct {
+	Run
 	Scenario fault.Scenario
-	Stats    sched.Stats
 	// Availability is the fraction of the pool's busy simulated time spent
 	// on useful work rather than configuration — visible, speculative, or
 	// repair streams all count against it.
@@ -75,66 +64,41 @@ func availability(st sched.Stats) float64 {
 	return float64(st.Work) / float64(total)
 }
 
-// RunFault boots a fresh pool and drives the spec's seeded workload
-// closed-loop (window 1, settled between arrivals — the S3 discipline)
-// under mincost placement with dispatch scrubbing on, injecting the
-// scenario's due events after each completion and following every
-// injection with a full scrub pass. The injection points ride the
-// deterministic completion count, so the same (spec, scenario) always
-// produces the same row.
+// RunFault drives the spec's seeded workload Paced under mincost
+// placement with dispatch scrubbing on, injecting the scenario's due
+// events after each completion and following every injection with a full
+// scrub pass. The injection points ride the deterministic completion
+// count, so the same (spec, scenario) always produces the same row.
 func RunFault(spec FaultSpec, sc fault.Scenario) (FaultRun, error) {
 	run := FaultRun{Scenario: sc}
-	policy, err := sched.PolicyByName("mincost")
-	if err != nil {
-		return run, err
-	}
-	mix, err := sched.ParseMix(spec.Mix)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(spec.pool())
-	if err != nil {
-		return run, err
-	}
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy, Scrub: true})
+	run.Label = sc.Name + "+scrub"
 	cur := sc.Cursor()
-	lats := make([]sim.Time, 0, len(w))
 	done := 0
-	var firstErr error
-	s.SubmitWindowed(w, 1, func(r sched.Result) {
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-		lats = append(lats, r.Latency())
-		settle(s)
-		done++
-		due := cur.Due(done)
-		for _, e := range due {
-			if err := fault.Apply(p, e); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("bench: fault after request %d: %w", done, err)
+	run.Drive = Drive{Pool: spec.pool(), Policy: "mincost", Scrub: true, Workload: spec.Workload, Shape: Paced,
+		OnResult: func(p *pool.Pool, s *sched.Scheduler, _ sched.Result) error {
+			done++
+			due := cur.Due(done)
+			for _, e := range due {
+				if err := fault.Apply(p, e); err != nil {
+					return fmt.Errorf("bench: fault after request %d: %w", done, err)
+				}
 			}
-		}
-		if len(due) > 0 {
-			s.ScrubAll()
-			settle(s)
-		}
-	})
-	settle(s)
-	s.Wait()
-	if firstErr != nil {
-		return run, firstErr
+			if len(due) > 0 {
+				s.ScrubAll()
+				settle(s)
+			}
+			return nil
+		}}
+	out, err := run.Drive.Run()
+	if err != nil {
+		return run, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	for _, m := range p.Snapshot() {
-		if m.Corrupted {
-			return run, fmt.Errorf("bench: member %d corrupted under scenario %s", m.ID, sc.Name)
-		}
-	}
-	run.Stats = s.Stats()
+	run.Stats = out.Stats
 	run.Availability = availability(run.Stats)
+	lats := make([]sim.Time, len(out.Results))
+	for i, r := range out.Results {
+		lats[i] = r.Latency()
+	}
 	pct := Percentiles(lats, 0.50, 0.99)
 	run.P50, run.P99 = pct[0], pct[1]
 	return run, nil
@@ -185,7 +149,7 @@ func FaultRecords(runs []FaultRun) []PlacementRecord {
 	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
 		st := r.Stats
-		row := PlacementRun{Label: r.Scenario.Name + "+scrub", Policy: "mincost", Planner: true, Stats: st}.Row("S7")
+		row := r.Row("S7")
 		row.FaultsInjected = uint64(len(r.Scenario.Events))
 		row.FaultsDetected = st.FaultsDetected
 		row.Requeues = st.Requeues
@@ -197,3 +161,15 @@ func FaultRecords(runs []FaultRun) []PlacementRecord {
 	}
 	return out
 }
+
+// Run drives the S7 campaign.
+func (spec FaultSpec) Run() (*Table, []PlacementRecord, error) {
+	runs, err := FaultRuns(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return FaultTable(runs), FaultRecords(runs), nil
+}
+
+// WithN returns the spec driving n requests per scenario.
+func (spec FaultSpec) WithN(n int) Spec { spec.N = n; return spec }

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestFaultSweepAvailability drives the S7 rate sweep end to end and
 // checks its headline shape: the clean scenario injects nothing, the top
@@ -68,29 +65,5 @@ func TestFaultSweepAvailability(t *testing.T) {
 		if rec.Availability != runs[i].Availability || rec.Repairs != runs[i].Stats.Repairs {
 			t.Fatalf("record %d diverges from run: %+v vs %+v", i, rec, runs[i].Stats)
 		}
-	}
-}
-
-// TestFaultRunDeterministic: the same spec and scenario reproduce the
-// same stats bit for bit — the property the committed S7 rows and the
-// replay artifact depend on.
-func TestFaultRunDeterministic(t *testing.T) {
-	spec := DefaultFaultSpec()
-	spec.N = 12
-	spec.Scenario = "uniform"
-	scs, err := FaultScenarios(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := RunFault(spec, scs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFault(spec, scs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same scenario, different outcomes:\n%+v\n%+v", a, b)
 	}
 }

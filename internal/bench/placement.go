@@ -4,104 +4,41 @@ import (
 	"fmt"
 
 	"repro/internal/pool"
-	"repro/internal/sched"
 )
 
-// PlacementSpec pins one seeded scheduler workload so different placement
-// configurations can be compared run-for-run.
+// PlacementSpec pins one seeded scheduler workload on one pool so
+// different placement configurations can be compared run for run.
 type PlacementSpec struct {
-	Pool  pool.Config
-	Seed  int64
-	N     int
-	Mix   string
-	Batch int
+	Pool pool.Config
+	Workload
 }
 
 // DefaultPlacementSpec is the seeded 60-request mixed workload of the
 // placement evaluation: a 2+2 pool under the full module mix.
 func DefaultPlacementSpec() PlacementSpec {
-	return PlacementSpec{
-		Pool:  pool.Config{Sys32: 2, Sys64: 2},
-		Seed:  7,
-		N:     60,
-		Mix:   "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1",
-		Batch: 4,
-	}
+	return PlacementSpec{Pool: pool.Config{Sys32: 2, Sys64: 2}, Workload: DefaultWorkload()}
 }
 
-// PlacementRun is one placement configuration's aggregate outcome over a
-// spec's workload.
-type PlacementRun struct {
-	Label   string
-	Policy  string
-	Planner bool
-	Stats   sched.Stats
-}
-
-// RunPlacement boots a fresh pool, applies the planner mode and placement
-// policy, and drives the spec's seeded workload to completion.
-func RunPlacement(spec PlacementSpec, policyName string, planner bool) (PlacementRun, error) {
-	label := policyName + "+complete-only"
-	if planner {
-		label = policyName + "+planner"
+// PlacementRuns executes the canonical S2 comparison, every request
+// submitted upfront: the PR 1 baseline (lru placement, complete streams
+// only), the planner under the same placement, and the planner with
+// cost-aware placement.
+func PlacementRuns(spec PlacementSpec) ([]Run, error) {
+	drive := func(policy string, completeOnly bool) Drive {
+		return Drive{Pool: spec.Pool, CompleteOnly: completeOnly, Policy: policy, Workload: spec.Workload, Shape: Upfront}
 	}
-	run := PlacementRun{Label: label, Policy: policyName, Planner: planner}
-	policy, err := sched.PolicyByName(policyName)
-	if err != nil {
-		return run, err
-	}
-	mix, err := sched.ParseMix(spec.Mix)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(spec.Pool)
-	if err != nil {
-		return run, err
-	}
-	p.SetPlanning(planner)
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy})
-	for _, ch := range s.SubmitAll(w) {
-		if r := <-ch; r.Err != nil {
-			return run, fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-	}
-	s.Wait()
-	run.Stats = s.Stats()
-	return run, nil
-}
-
-// PlacementRuns executes the canonical comparison on one spec: the PR 1
-// baseline (lru placement, complete streams only), the planner under the
-// same placement, and the planner with cost-aware placement.
-func PlacementRuns(spec PlacementSpec) ([]PlacementRun, error) {
-	configs := []struct {
-		policy  string
-		planner bool
-	}{
-		{"lru", false},
-		{"lru", true},
-		{"mincost", true},
-	}
-	runs := make([]PlacementRun, 0, len(configs))
-	for _, c := range configs {
-		r, err := RunPlacement(spec, c.policy, c.planner)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
+	return runAll([]Run{
+		{Label: "lru+complete-only", Drive: drive("lru", true)},
+		{Label: "lru+planner", Drive: drive("lru", false)},
+		{Label: "mincost+planner", Drive: drive("mincost", false)},
+	})
 }
 
 // PlacementTable renders placement runs as table S2: how the
 // differential-bitstream planner and cost-aware placement change the
 // configuration bill for the same seeded workload. Raw() carries each
 // run's total simulated configuration time in femtoseconds, in row order.
-func PlacementTable(runs []PlacementRun) *Table {
+func PlacementTable(runs []Run) *Table {
 	t := &Table{ID: "S2", Title: "Placement policy and stream planning on the same seeded workload",
 		Columns: []string{"configuration", "hits", "misses", "diff", "complete", "config time", "bytes streamed", "busy time"}}
 	for _, r := range runs {
@@ -132,10 +69,22 @@ func PlacementTable(runs []PlacementRun) *Table {
 }
 
 // ScheduleRecords converts placement runs into S2 rows.
-func ScheduleRecords(runs []PlacementRun) []PlacementRecord {
+func ScheduleRecords(runs []Run) []PlacementRecord {
 	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
 		out = append(out, r.Row("S2"))
 	}
 	return out
 }
+
+// Run drives the S2 comparison.
+func (spec PlacementSpec) Run() (*Table, []PlacementRecord, error) {
+	runs, err := PlacementRuns(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return PlacementTable(runs), ScheduleRecords(runs), nil
+}
+
+// WithN returns the spec driving n requests.
+func (spec PlacementSpec) WithN(n int) Spec { spec.N = n; return spec }

@@ -9,11 +9,11 @@ import (
 // seeded paced workload, prefetching with the markov predictor must hide
 // at least 30% of the visible configuration time the PR 2 configuration
 // (mincost placement + differential planner, no prefetch) still pays —
-// with every request verifying and no member corrupted (RunPrefetch fails
+// with every request verifying and no member corrupted (the drive fails
 // on either, so a hazard-gate violation is a hard test failure).
 func TestPrefetchHidesVisibleConfigTime(t *testing.T) {
 	spec := DefaultPrefetchSpec()
-	base, err := RunPrefetch(spec, "mincost", "")
+	runs, err := PrefetchRuns(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,9 +21,9 @@ func TestPrefetchHidesVisibleConfigTime(t *testing.T) {
 	// workload draws tasks i.i.d., so there is no transition structure for
 	// markov to exploit (it shrinks toward the same frequency estimates,
 	// with residual sampling noise).
-	pref, err := RunPrefetch(spec, "mincost", "freq")
-	if err != nil {
-		t.Fatal(err)
+	base, pref := runs[0], runs[1]
+	if base.Drive.Predictor != "" || pref.Drive.Predictor != "freq" {
+		t.Fatalf("runs %s, %s: want the no-prefetch baseline, then freq", base.Label, pref.Label)
 	}
 	bs, ps := base.Stats, pref.Stats
 	if bs.Done != uint64(spec.N) || ps.Done != uint64(spec.N) {
@@ -56,7 +56,7 @@ func TestPrefetchTableShape(t *testing.T) {
 	if len(runs) != 4 {
 		t.Fatalf("got %d runs, want 4", len(runs))
 	}
-	if runs[0].Predictor != "" || runs[0].Stats.PrefetchIssued != 0 {
+	if runs[0].Drive.Predictor != "" || runs[0].Stats.PrefetchIssued != 0 {
 		t.Fatalf("first run must be the no-prefetch baseline: %+v", runs[0].Label)
 	}
 	tab := PrefetchTable(runs)
@@ -71,7 +71,7 @@ func TestPrefetchTableShape(t *testing.T) {
 		}
 	}
 	recs := PrefetchRecords(runs)
-	if len(recs) != 4 || recs[0].Table != "S3" || recs[0].Window != spec.Window {
+	if len(recs) != 4 || recs[0].Table != "S3" || recs[0].Window != 1 {
 		t.Fatalf("records: %+v", recs[:1])
 	}
 	if recs[2].Predictor != "markov" {

@@ -82,48 +82,57 @@ type Metric struct {
 }
 
 // Suite declares one bench table: its ID, whether its rows reproduce
-// byte-identically run to run on one machine, and its metrics in history
-// and dashboard-panel order.
+// byte-identically run to run on one machine, its metrics in history and
+// dashboard-panel order, and the committed spec that produces its rows
+// (nil for the ad-hoc single run).
 type Suite struct {
 	ID            string
 	Deterministic bool
 	Metrics       []Metric
+	Spec          Spec
 }
 
 // Suites is the one declaration of the bench gates, read by the history
 // writer, cmd/benchdiff (the CI gate), cmd/benchboard (the trajectory
 // flags) and fpgad's noise sampler.
 //
-// S2 rows react to goroutine completion order (SubmitAll placement follows
+// S2 rows react to goroutine completion order (Upfront placement follows
 // whoever finishes first) and swing up to ~30% run to run, so their pair
 // carries a 40% band — still far inside the 5x planner-vs-complete signal
 // they guard. The S9 percentiles reproduce byte-identically, so any drift
 // past 1% is a real latency change. Every other band is 15%.
 var Suites = []Suite{
-	{ID: "S2", Metrics: economy(40)},
+	{ID: "S2", Metrics: economy(40), Spec: DefaultPlacementSpec()},
 	{ID: "S3", Deterministic: true, Metrics: economy(15,
-		Metric{Name: "hidden_ms", Unit: "ms", HigherBetter: true, BandPct: 15})},
+		Metric{Name: "hidden_ms", Unit: "ms", HigherBetter: true, BandPct: 15}),
+		Spec: DefaultPrefetchSpec()},
 	{ID: "S4", Deterministic: true, Metrics: economy(15,
-		Metric{Name: "hidden_ms", Unit: "ms", HigherBetter: true, BandPct: 15})},
+		Metric{Name: "hidden_ms", Unit: "ms", HigherBetter: true, BandPct: 15}),
+		Spec: DefaultRegionSpec()},
 	{ID: "S5", Deterministic: true, Metrics: economy(15,
 		Metric{Name: "p99_ms", Unit: "ms", BandPct: 15},
-		Metric{Name: "sim_throughput_rps", Unit: "req/s", HigherBetter: true, BandPct: 15})},
+		Metric{Name: "sim_throughput_rps", Unit: "req/s", HigherBetter: true, BandPct: 15}),
+		Spec: ArrivalSpec(DefaultPlacementSpec())},
 	// Real throughput is host wall-clock and the percentiles ride
 	// concurrent placement; the pair stays exact — zero by the all-hit
 	// construction, gated on its absolute epsilon.
 	{ID: "S6", Metrics: economy(15,
 		Metric{Name: "throughput_rps", Unit: "req/s", HigherBetter: true, BandPct: 15},
-		Metric{Name: "p99_ms", Unit: "ms", BandPct: 15})},
+		Metric{Name: "p99_ms", Unit: "ms", BandPct: 15}),
+		Spec: DefaultScalingSpec()},
 	{ID: "S7", Deterministic: true, Metrics: economy(15,
 		Metric{Name: "availability", Unit: "frac", HigherBetter: true, BandPct: 15},
-		Metric{Name: "repair_ms", Unit: "ms", BandPct: 15})},
+		Metric{Name: "repair_ms", Unit: "ms", BandPct: 15}),
+		Spec: DefaultFaultSpec()},
 	{ID: "S8", Deterministic: true, Metrics: economy(15,
 		Metric{Name: "availability", Unit: "frac", HigherBetter: true, BandPct: 15},
-		Metric{Name: "overlap_ms", Unit: "ms", HigherBetter: true, BandPct: 15})},
+		Metric{Name: "overlap_ms", Unit: "ms", HigherBetter: true, BandPct: 15}),
+		Spec: DefaultCompressSpec()},
 	{ID: "S9", Deterministic: true, Metrics: economy(15,
 		Metric{Name: "p50_ms", Unit: "ms", BandPct: 1},
 		Metric{Name: "p95_ms", Unit: "ms", BandPct: 1},
-		Metric{Name: "p99_ms", Unit: "ms", BandPct: 1})},
+		Metric{Name: "p99_ms", Unit: "ms", BandPct: 1}),
+		Spec: DefaultSLOSpec()},
 	// Ad-hoc fpgad -json runs outside the canonical S2 drive.
 	{ID: "single", Metrics: economy(15)},
 }
@@ -200,19 +209,25 @@ func (r PlacementRecord) Value(name string) float64 {
 	panic(fmt.Sprintf("bench: %q is not a numeric wire field", name))
 }
 
-// Row fills the shared fields of a table's wire row from the run's
-// scheduler stats; the suite's converter adds its own block.
-func (r PlacementRun) Row(table string) PlacementRecord {
+// Row fills a table's wire row from the run's drive and scheduler stats:
+// the shared fields plus the speculation and load-path blocks, which stay
+// zero (and so off the wire) for drives without prefetch, compression or
+// DMA. The suite's converter adds its own fields.
+func (r Run) Row(table string) PlacementRecord {
 	st := r.Stats
 	var busy float64
 	for _, b := range st.BusyTime {
 		busy += float64(b.Microseconds())
 	}
+	policy := r.Drive.Policy
+	if policy == "" {
+		policy = "lru"
+	}
 	row := PlacementRecord{
 		Table:         table,
 		Label:         r.Label,
-		Policy:        r.Policy,
-		Planner:       r.Planner,
+		Policy:        policy,
+		Planner:       !r.Drive.CompleteOnly,
 		Requests:      st.Done,
 		Hits:          st.Hits,
 		Misses:        st.Misses,
@@ -223,6 +238,17 @@ func (r PlacementRun) Row(table string) PlacementRecord {
 		WorkMs:        float64(st.Work.Microseconds()) / 1e3,
 		BusyMs:        busy / 1e3,
 		BytesStreamed: st.BytesStreamed,
+
+		Predictor:           r.Drive.Predictor,
+		PrefetchHits:        st.PrefetchHits,
+		PrefetchAborted:     st.PrefetchAborted,
+		PrefetchBytes:       st.PrefetchBytes,
+		PrefetchWastedBytes: st.PrefetchWasted,
+		HiddenMs:            float64(st.HiddenConfig.Microseconds()) / 1e3,
+
+		CompressedLoads: st.CompressedLoads,
+		DMALoads:        st.DMALoads,
+		OverlapMs:       st.OverlapConfig.Microseconds() / 1e3,
 	}
 	if st.Done > 0 {
 		row.SimUsPerReq = busy / float64(st.Done)

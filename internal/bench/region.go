@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/pool"
-	"repro/internal/predict"
 	"repro/internal/region"
-	"repro/internal/sched"
 )
 
 // RegionSpec pins the S4 evaluation: the same seeded mixed workload driven
@@ -29,31 +27,20 @@ import (
 //     bitstream-cache entries and cuts visible configuration time — the
 //     floorplanning win multi-region fabrics exist for.
 //
-// The workload is driven closed-loop with a window of 1 and the pool
-// settled between arrivals (the S3 discipline), so every row is
+// The workload is driven Paced (the S3 discipline), so every row is
 // deterministic and the CI gate holds them tight.
 type RegionSpec struct {
 	// Boards1 is the single-region half-width pool's board count; Boards2
 	// the dual-region pool's. Boards1 = 2*Boards2 keeps total fabric equal.
 	Boards1 int
 	Boards2 int
-	Seed    int64
-	N       int
-	Mix     string
-	Batch   int
+	Workload
 }
 
 // DefaultRegionSpec is the committed S4 configuration: the seeded
 // 60-request mixed workload of S2/S3 over 4×1 / 2×2 / 2×1-full pools.
 func DefaultRegionSpec() RegionSpec {
-	return RegionSpec{
-		Boards1: 4,
-		Boards2: 2,
-		Seed:    7,
-		N:       60,
-		Mix:     "sha1=1,jenkins=2,patternmatch=1,brightness=2,blend=2,fade=2,transfer=1",
-		Batch:   4,
-	}
+	return RegionSpec{Boards1: 4, Boards2: 2, Workload: DefaultWorkload()}
 }
 
 // regionPools builds the three equal-fabric pool configurations: four
@@ -76,106 +63,35 @@ func regionPools(spec RegionSpec) (single, dual, full pool.Config, err error) {
 	return single, dual, full, nil
 }
 
-// RegionRun is one pool shape's outcome over the paced workload.
-type RegionRun struct {
-	Label     string
-	Boards    int
-	Slots     int
-	Predictor string // "" = prefetch disabled
-	Stats     sched.Stats
-}
-
-// RunRegion boots the pool configuration and drives the spec's workload
-// closed-loop (window 1, settled between arrivals) under mincost
-// placement, with prefetching guided by the named predictor ("" disables
-// prefetch).
-func RunRegion(spec RegionSpec, cfg pool.Config, label, predictorName string) (RegionRun, error) {
-	run := RegionRun{Label: label, Predictor: predictorName}
-	policy, err := sched.PolicyByName("mincost")
-	if err != nil {
-		return run, err
-	}
-	opts := sched.Options{Batch: spec.Batch, Policy: policy}
-	if predictorName != "" {
-		pred, err := predict.New(predictorName)
-		if err != nil {
-			return run, err
-		}
-		opts.Prefetch, opts.Predictor = true, pred
-	}
-	mix, err := sched.ParseMix(spec.Mix)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(cfg)
-	if err != nil {
-		return run, err
-	}
-	run.Boards = p.Size()
-	run.Slots = p.Slots()
-	s := sched.New(p, opts)
-	var firstErr error
-	s.SubmitWindowed(w, 1, func(r sched.Result) {
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-		settle(s)
-	})
-	// Quiesce before looking at the error: a bare return would leak the
-	// tail speculation's goroutines into the caller's next run.
-	settle(s)
-	s.Wait()
-	if firstErr != nil {
-		return run, firstErr
-	}
-	for _, m := range p.Snapshot() {
-		if m.Corrupted {
-			return run, fmt.Errorf("bench: member %d corrupted under %s", m.ID, label)
-		}
-	}
-	run.Stats = s.Stats()
-	return run, nil
+// regionDrive is the S4 drive of one pool shape: the spec's workload,
+// paced, under mincost placement, with prefetching guided by the named
+// predictor ("" disables prefetch).
+func (spec RegionSpec) regionDrive(cfg pool.Config, predictor string) Drive {
+	return Drive{Pool: cfg, Policy: "mincost", Predictor: predictor, Workload: spec.Workload, Shape: Paced}
 }
 
 // RegionRuns executes the canonical S4 comparison: the three pool shapes
 // without prefetch, then the two-board shapes with the markov-guided
 // speculative pipeline (a dual-region board speculates into one region
 // while the sibling holds — or serves — the working set).
-func RegionRuns(spec RegionSpec) ([]RegionRun, error) {
+func RegionRuns(spec RegionSpec) ([]Run, error) {
 	single, dual, full, err := regionPools(spec)
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		cfg       pool.Config
-		label     string
-		predictor string
-	}{
-		{single, fmt.Sprintf("%dx1-half+mincost", spec.Boards1), ""},
-		{dual, fmt.Sprintf("%dx2-half+mincost", spec.Boards2), ""},
-		{full, fmt.Sprintf("%dx1-full+mincost", spec.Boards2), ""},
-		{full, fmt.Sprintf("%dx1-full+prefetch-markov", spec.Boards2), "markov"},
-		{dual, fmt.Sprintf("%dx2-half+prefetch-markov", spec.Boards2), "markov"},
-	}
-	runs := make([]RegionRun, 0, len(configs))
-	for _, c := range configs {
-		r, err := RunRegion(spec, c.cfg, c.label, c.predictor)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
+	return runAll([]Run{
+		{Label: fmt.Sprintf("%dx1-half+mincost", spec.Boards1), Drive: spec.regionDrive(single, "")},
+		{Label: fmt.Sprintf("%dx2-half+mincost", spec.Boards2), Drive: spec.regionDrive(dual, "")},
+		{Label: fmt.Sprintf("%dx1-full+mincost", spec.Boards2), Drive: spec.regionDrive(full, "")},
+		{Label: fmt.Sprintf("%dx1-full+prefetch-markov", spec.Boards2), Drive: spec.regionDrive(full, "markov")},
+		{Label: fmt.Sprintf("%dx2-half+prefetch-markov", spec.Boards2), Drive: spec.regionDrive(dual, "markov")},
+	})
 }
 
 // RegionTable renders region runs as table S4: what region granularity is
 // worth at equal total fabric. Raw() carries each run's visible
 // configuration time in femtoseconds.
-func RegionTable(runs []RegionRun) *Table {
+func RegionTable(runs []Run) *Table {
 	t := &Table{ID: "S4", Title: "Region granularity at equal total fabric on the paced seeded workload",
 		Columns: []string{"configuration", "boards", "slots", "hits", "misses", "pf hits", "config time", "hidden config", "bytes streamed"}}
 	for _, r := range runs {
@@ -206,18 +122,22 @@ func RegionTable(runs []RegionRun) *Table {
 }
 
 // RegionRecords converts region runs into S4 rows.
-func RegionRecords(runs []RegionRun) []PlacementRecord {
+func RegionRecords(runs []Run) []PlacementRecord {
 	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		st := r.Stats
-		row := PlacementRun{Label: r.Label, Policy: "mincost", Planner: true, Stats: st}.Row("S4")
-		row.Predictor = r.Predictor
-		row.PrefetchHits = st.PrefetchHits
-		row.PrefetchAborted = st.PrefetchAborted
-		row.PrefetchBytes = st.PrefetchBytes
-		row.PrefetchWastedBytes = st.PrefetchWasted
-		row.HiddenMs = float64(st.HiddenConfig.Microseconds()) / 1e3
-		out = append(out, row)
+		out = append(out, r.Row("S4"))
 	}
 	return out
 }
+
+// Run drives the S4 comparison.
+func (spec RegionSpec) Run() (*Table, []PlacementRecord, error) {
+	runs, err := RegionRuns(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RegionTable(runs), RegionRecords(runs), nil
+}
+
+// WithN returns the spec driving n requests per configuration.
+func (spec RegionSpec) WithN(n int) Spec { spec.N = n; return spec }

@@ -22,18 +22,15 @@ func TestRegionGranularityEconomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r41, err := RunRegion(spec, single, "4x1", "")
+	runs, err := runAll([]Run{
+		{Label: "4x1", Drive: spec.regionDrive(single, "")},
+		{Label: "2x2", Drive: spec.regionDrive(dual, "")},
+		{Label: "2x1-full", Drive: spec.regionDrive(full, "")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r22, err := RunRegion(spec, dual, "2x2", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r21, err := RunRegion(spec, full, "2x1-full", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r41, r22, r21 := runs[0], runs[1], runs[2]
 	if r41.Slots != 4 || r22.Slots != 4 || r21.Slots != 2 {
 		t.Fatalf("slot counts (%d, %d, %d), want (4, 4, 2)", r41.Slots, r22.Slots, r21.Slots)
 	}
@@ -69,22 +66,22 @@ func TestRegionTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunRegion(spec, full, "2x1-full+mincost", "")
+	runs, err := runAll([]Run{
+		{Label: "2x1-full+mincost", Drive: spec.regionDrive(full, "")},
+		{Label: "2x2-half+mincost", Drive: spec.regionDrive(dual, "")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunRegion(spec, dual, "2x2-half+mincost", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := RegionTable([]RegionRun{r1, r2})
+	r1, r2 := runs[0], runs[1]
+	tb := RegionTable(runs)
 	if len(tb.Rows) != 2 || len(tb.Raw()) != 2 {
 		t.Fatalf("table has %d rows / %d raw values, want 2 / 2", len(tb.Rows), len(tb.Raw()))
 	}
 	if tb.Raw()[0] != float64(r1.Stats.Config) || tb.Raw()[1] != float64(r2.Stats.Config) {
 		t.Fatalf("raw values %v do not carry the runs' visible config times", tb.Raw())
 	}
-	recs := RegionRecords([]RegionRun{r1, r2})
+	recs := RegionRecords(runs)
 	if len(recs) != 2 || recs[0].Table != "S4" || recs[0].Label != r1.Label {
 		t.Fatalf("records %+v, want S4 rows keyed by the run labels", recs[0])
 	}

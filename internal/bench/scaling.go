@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/pool"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -28,11 +25,10 @@ import (
 // bytes are zero by construction, and benchdiff's zero-baseline rule turns
 // any future miss on this drive into a hard gate failure.
 type ScalingSpec struct {
-	Pool    pool.Config
-	Seed    int64
-	N       int
-	Module  string // the single resident module every request runs
-	Batch   int    // 1 = strict FIFO, keeping sojourns in arrival order
+	Pool pool.Config
+	// Workload's Mix is the single resident module every request runs;
+	// Batch 1 keeps sojourns in arrival order.
+	Workload
 	Policy  string
 	Process string // arrival process (see GenArrivals)
 	Feeders int    // concurrent open-loop submitters
@@ -62,10 +58,7 @@ type ScalingSpec struct {
 func DefaultScalingSpec() ScalingSpec {
 	return ScalingSpec{
 		Pool:        pool.Config{Sys32: 32},
-		Seed:        7,
-		N:           8000,
-		Module:      "jenkins",
-		Batch:       1,
+		Workload:    Workload{Seed: 7, N: 8000, Mix: "jenkins", Batch: 1},
 		Policy:      "lru",
 		Process:     "poisson",
 		Feeders:     4,
@@ -77,13 +70,13 @@ func DefaultScalingSpec() ScalingSpec {
 
 // ScalingRun is one (shard count, offered load) cell of the S6 sweep.
 type ScalingRun struct {
-	Label   string
+	Run
 	Shards  int
 	Rho     float64
 	Process string
 
-	// Elapsed is the real wall-clock span from first submission to last
-	// delivered result: N/Elapsed is the sustained dispatch rate of the
+	// Elapsed is the real wall-clock span from first submission to the
+	// quiesced pool: N/Elapsed is the sustained dispatch rate of the
 	// scheduler itself (host-dependent, so reported but never gated).
 	Elapsed time.Duration
 
@@ -92,8 +85,6 @@ type ScalingRun struct {
 	// Makespan the simulated completion time of the whole trace.
 	P50, P95, P99 sim.Time
 	Makespan      sim.Time
-
-	Stats sched.Stats
 }
 
 // RealThroughput is the sustained real-time dispatch rate in requests per
@@ -114,11 +105,11 @@ func (r ScalingRun) SimThroughput() float64 {
 	return float64(r.Stats.Done) / (float64(r.Makespan) / float64(sim.Second))
 }
 
-// RunScaling drives one S6 cell: boot and pre-warm the pool, then submit
-// the seeded workload open-loop — every request carries its generated
-// arrival stamp, and submission never waits for completions — from
-// spec.Feeders concurrent feeders through a scheduler with the given shard
-// count.
+// RunScaling drives one S6 cell: boot the pool with the module pinned in
+// every slot, then submit the seeded workload OpenLoop — every request
+// carries its generated arrival stamp, and submission never waits for
+// completions — from spec.Feeders concurrent feeders through a scheduler
+// with the given shard count.
 //
 // The drive is open-loop in simulated time only: feeders submit
 // back-to-back rather than pacing arrival stamps against the host clock,
@@ -128,85 +119,39 @@ func (r ScalingRun) SimThroughput() float64 {
 // (Result.Sojourn); real elapsed time measures dispatch capacity under a
 // fully backlogged queue — the same saturated regime every cell shares.
 func RunScaling(spec ScalingSpec, shards int, rho float64) (ScalingRun, error) {
-	run := ScalingRun{
-		Label:   fmt.Sprintf("shards-%d/rho-%.2g/%s", shards, rho, spec.Process),
-		Shards:  shards,
-		Rho:     rho,
-		Process: spec.Process,
-	}
+	run := ScalingRun{Shards: shards, Rho: rho, Process: spec.Process}
+	run.Label = fmt.Sprintf("shards-%d/rho-%.2g/%s", shards, rho, spec.Process)
 	if rho <= 0 {
 		return run, fmt.Errorf("bench: offered load %v", rho)
 	}
-	policy, err := sched.PolicyByName(spec.Policy)
-	if err != nil {
-		return run, err
-	}
-	mix, err := sched.ParseMix(spec.Module)
-	if err != nil {
-		return run, err
-	}
-	w, err := sched.GenWorkload(spec.Seed, spec.N, mix)
-	if err != nil {
-		return run, err
-	}
-	p, err := pool.New(spec.Pool)
-	if err != nil {
-		return run, err
-	}
-	mean := sim.Time(float64(spec.MeanService) / (float64(p.Size()) * rho))
+	mean := sim.Time(float64(spec.MeanService) / (float64(members(spec.Pool)) * rho))
 	arrivals, err := GenArrivals(spec.Seed, spec.N, spec.Process, mean)
 	if err != nil {
 		return run, err
 	}
-	// Pre-warm: host the module in every slot so the drive is all-hit.
-	for _, m := range p.Members() {
-		for ri := 0; ri < m.Sys.NumRegions(); ri++ {
-			if _, err := m.Sys.LoadModuleOn(ri, spec.Module); err != nil {
-				return run, fmt.Errorf("bench: pre-warm member %d region %d: %w", m.ID, ri, err)
-			}
-		}
+	run.Drive = Drive{Pool: spec.Pool, Pin: spec.Mix, Policy: spec.Policy, Shards: shards,
+		Workload: spec.Workload, Shape: OpenLoop, Feeders: spec.Feeders, Arrivals: arrivals}
+	out, err := run.Drive.Run()
+	if err != nil {
+		return run, err
 	}
-	s := sched.New(p, sched.Options{Batch: spec.Batch, Policy: policy, Shards: shards})
-	feeders := spec.Feeders
-	if feeders < 1 {
-		feeders = 1
-	}
-	chs := make([]<-chan sched.Result, spec.N)
-	// Collect the boot and pre-warm garbage now so no cell pays another
-	// cell's GC debt during its timed drive.
-	runtime.GC()
-	start := time.Now()
-	var fwg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		fwg.Add(1)
-		go func(f int) {
-			defer fwg.Done()
-			// Striped: each feeder submits its slice of the trace in
-			// increasing-arrival order, so the merged stream is arrival-
-			// ordered up to feeder interleaving (concurrent front-ends).
-			for i := f; i < spec.N; i += feeders {
-				chs[i] = s.SubmitAt(w[i], arrivals[i])
-			}
-		}(f)
-	}
-	fwg.Wait()
-	sojourns := make([]sim.Time, 0, spec.N)
-	for _, ch := range chs {
-		r := <-ch
-		if r.Err != nil {
-			return run, fmt.Errorf("bench: request %d (%s): %w", r.ID, r.Task, r.Err)
-		}
-		if r.DoneAt > run.Makespan {
-			run.Makespan = r.DoneAt
-		}
+	sojourns := make([]sim.Time, 0, len(out.Results))
+	for _, r := range out.Results {
+		run.Makespan = max(run.Makespan, r.DoneAt)
 		sojourns = append(sojourns, r.Sojourn)
 	}
-	s.Wait()
-	run.Elapsed = time.Since(start)
-	run.Stats = s.Stats()
+	run.Elapsed, run.Stats = out.Elapsed, out.Stats
 	pct := Percentiles(sojourns, 0.50, 0.95, 0.99)
 	run.P50, run.P95, run.P99 = pct[0], pct[1], pct[2]
 	return run, nil
+}
+
+// members counts a pool configuration's boards without booting it.
+func members(cfg pool.Config) int {
+	if len(cfg.Members) > 0 {
+		return len(cfg.Members)
+	}
+	return cfg.Sys32 + cfg.Sys64
 }
 
 // ScalingRuns executes the full spec sweep, one fresh pool per cell, in
@@ -290,7 +235,7 @@ func ScalingTable(runs []ScalingRun) *Table {
 func ScalingRecords(runs []ScalingRun) []PlacementRecord {
 	out := make([]PlacementRecord, 0, len(runs))
 	for _, r := range runs {
-		row := PlacementRun{Label: r.Label, Policy: "lru", Planner: true, Stats: r.Stats}.Row("S6")
+		row := r.Row("S6")
 		row.Shards = r.Shards
 		row.OfferedLoad = r.Rho
 		row.ArrivalProcess = r.Process
@@ -305,3 +250,15 @@ func ScalingRecords(runs []ScalingRun) []PlacementRecord {
 	}
 	return out
 }
+
+// Run drives the S6 sweep.
+func (spec ScalingSpec) Run() (*Table, []PlacementRecord, error) {
+	runs, err := ScalingRuns(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ScalingTable(runs), ScalingRecords(runs), nil
+}
+
+// WithN returns the spec driving n requests per cell.
+func (spec ScalingSpec) WithN(n int) Spec { spec.N = n; return spec }

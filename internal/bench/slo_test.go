@@ -6,42 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/pool"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // reducedSLOSpec keeps the S9 shape (pinned placement, poisson arrivals,
 // three offered loads) at a depth a unit test can afford.
-func reducedSLOSpec() SLOSpec {
+func reducedSLOSpec() ReplaySpec {
 	spec := DefaultSLOSpec()
-	spec.Pool = pool.Config{Sys32: 4}
-	spec.N = 400
+	spec.Drive.Pool = pool.Config{Sys32: 4}
+	spec.Drive.N = 400
 	return spec
-}
-
-// TestSLORunsDeterministic is the property the whole S9 suite stands on:
-// two full evaluations — paced service measurement, arrival generation,
-// k-server replay, percentile extraction — produce identical rows, so
-// p50/p95/p99 can gate with zero tolerance.
-func TestSLORunsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives two paced pool workloads")
-	}
-	spec := reducedSLOSpec()
-	a, err := SLORuns(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SLORuns(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("S9 rows differ between identical evaluations:\n%+v\n%+v", a, b)
-	}
-	if len(a) != len(spec.Rhos) {
-		t.Fatalf("%d rows, want %d", len(a), len(spec.Rhos))
-	}
 }
 
 // TestSLORunsShape checks the queueing physics of the replay: percentiles
@@ -51,11 +27,11 @@ func TestSLORunsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a paced pool workload")
 	}
-	runs, err := SLORuns(reducedSLOSpec())
+	runs, err := ReplayRuns(reducedSLOSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRho := map[float64]SLORun{}
+	byRho := map[float64]ReplayRun{}
 	for _, r := range runs {
 		byRho[r.Rho] = r
 		if r.P50 <= 0 || r.P50 > r.P95 || r.P95 > r.P99 || r.P99 > r.Max {
@@ -137,12 +113,13 @@ func TestTraceCompressDeterministic(t *testing.T) {
 	spec := DefaultCompressSpec()
 	spec.N = 24
 	var exports [][]byte
-	var last CompressRun
+	var last sched.Stats
 	var lastTr *trace.Tracer
 	for i := 0; i < 2; i++ {
 		tr := trace.New()
-		spec.Trace = tr
-		run, err := RunCompress(spec, "compressed+dma", "gang", true, true, true)
+		d := compressConfigs(spec)[3].Drive // compressed+dma
+		d.Trace = tr
+		out, err := d.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +128,7 @@ func TestTraceCompressDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		exports = append(exports, buf.Bytes())
-		last, lastTr = run, tr
+		last, lastTr = out.Stats, tr
 	}
 	if !bytes.Equal(exports[0], exports[1]) {
 		t.Fatalf("S8 traced runs differ: %d vs %d bytes", len(exports[0]), len(exports[1]))
@@ -169,7 +146,7 @@ func TestTraceCompressDeterministic(t *testing.T) {
 			overlap += trace.SumDur(events, trace.KindOverlap, member, ri)
 		}
 	}
-	st := last.Stats
+	st := last
 	if config != st.Config {
 		t.Errorf("config spans sum to %v, Stats.Config %v", config, st.Config)
 	}

@@ -31,7 +31,7 @@ func coldWorkload(n int) []tasks.Runner {
 
 func runWorkload(t testing.TB, w []tasks.Runner) Stats {
 	s := New(pool32(t, 1), Options{})
-	for _, ch := range s.SubmitAll(w) {
+	for _, ch := range submitAll(s, w) {
 		if r := <-ch; r.Err != nil {
 			t.Fatal(r.Err)
 		}

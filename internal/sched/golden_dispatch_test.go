@@ -105,7 +105,7 @@ func runPacedGolden(t *testing.T, cfg pool.Config, policyName, predictorName str
 	s := New(p, opts)
 	w := goldenWorkload(t, 60)
 	var res []Result
-	s.SubmitWindowed(w, 1, func(r Result) {
+	submitWindowed(s, w, 1, func(r Result) {
 		if r.Err != nil {
 			t.Fatalf("request %d (%s): %v", r.ID, r.Task, r.Err)
 		}

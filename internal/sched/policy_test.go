@@ -156,7 +156,7 @@ func TestStressInvariantsMinCost(t *testing.T) {
 	}
 	policy, _ := PolicyByName("mincost")
 	s := New(p, Options{Batch: 3, Policy: policy})
-	for i, r := range collect(t, s.SubmitAll(w)) {
+	for i, r := range collect(t, submitAll(s, w)) {
 		if r.Err != nil {
 			t.Fatalf("request %d (%s): %v", i, r.Task, r.Err)
 		}

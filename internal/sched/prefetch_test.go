@@ -122,7 +122,7 @@ func TestPrefetchStressNoHazard(t *testing.T) {
 
 	// Closed loop with a window of 2: members regularly go idle while
 	// others compute — the overlap the prefetcher exploits.
-	s.SubmitWindowed(w, 2, func(r Result) {
+	submitWindowed(s, w, 2, func(r Result) {
 		if r.Err != nil {
 			t.Fatalf("request %d (%s): %v", r.ID, r.Task, r.Err)
 		}

@@ -600,38 +600,6 @@ func (s *Scheduler) SubmitBatch(ts []tasks.Runner) []<-chan Result {
 	return out
 }
 
-// SubmitAll queues a whole workload and returns the result channels in
-// submission order.
-func (s *Scheduler) SubmitAll(ts []tasks.Runner) []<-chan Result {
-	out := make([]<-chan Result, len(ts))
-	for i, t := range ts {
-		out[i] = s.Submit(t)
-	}
-	return out
-}
-
-// SubmitWindowed drives a workload closed-loop: at most window requests
-// are outstanding, and onResult sees each completed result in submission
-// order before the next request is submitted (window < 1 is treated as
-// fully sequential). Callers model think time — e.g. waiting for
-// Drained() — inside onResult.
-func (s *Scheduler) SubmitWindowed(ts []tasks.Runner, window int, onResult func(Result)) {
-	if window < 1 {
-		window = 1
-	}
-	var inflight []<-chan Result
-	for _, t := range ts {
-		if len(inflight) == window {
-			onResult(<-inflight[0])
-			inflight = inflight[1:]
-		}
-		inflight = append(inflight, s.Submit(t))
-	}
-	for _, ch := range inflight {
-		onResult(<-ch)
-	}
-}
-
 // Wait blocks until every submitted request has completed and all
 // speculative activity has quiesced: in-flight speculative streams are
 // aborted (nothing is coming that could consume them) and their goroutines

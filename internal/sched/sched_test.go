@@ -16,6 +16,33 @@ func pool32(t testing.TB, n int) *pool.Pool {
 	return p
 }
 
+// submitAll queues a whole workload and returns the result channels in
+// submission order.
+func submitAll(s *Scheduler, ts []tasks.Runner) []<-chan Result {
+	out := make([]<-chan Result, len(ts))
+	for i, t := range ts {
+		out[i] = s.Submit(t)
+	}
+	return out
+}
+
+// submitWindowed drives a workload closed-loop: at most window requests
+// are outstanding, and onResult sees each completed result in submission
+// order before the next request is submitted.
+func submitWindowed(s *Scheduler, ts []tasks.Runner, window int, onResult func(Result)) {
+	var inflight []<-chan Result
+	for _, t := range ts {
+		if len(inflight) == window {
+			onResult(<-inflight[0])
+			inflight = inflight[1:]
+		}
+		inflight = append(inflight, s.Submit(t))
+	}
+	for _, ch := range inflight {
+		onResult(<-ch)
+	}
+}
+
 func collect(t testing.TB, chans []<-chan Result) []Result {
 	t.Helper()
 	out := make([]Result, len(chans))
@@ -43,7 +70,7 @@ func TestCacheHitBeatsMiss(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(pool32(t, 1), Options{})
-			res := collect(t, s.SubmitAll([]tasks.Runner{tc.mk(1), tc.mk(2)}))
+			res := collect(t, submitAll(s, []tasks.Runner{tc.mk(1), tc.mk(2)}))
 			s.Wait()
 			miss, hit := res[0], res[1]
 			if miss.Err != nil || hit.Err != nil {
@@ -80,7 +107,7 @@ func TestFIFOFairnessUnderContention(t *testing.T) {
 			w = append(w, tasks.BrightnessRun{Seed: int64(i), N: 256, Delta: 5})
 		}
 	}
-	res := collect(t, s.SubmitAll(w))
+	res := collect(t, submitAll(s, w))
 	s.Wait()
 	for i, r := range res {
 		if r.Err != nil {
@@ -111,7 +138,7 @@ func TestBatchingGroupsSameModule(t *testing.T) {
 			w = append(w, tasks.BrightnessRun{Seed: int64(i), N: 256, Delta: 5})
 		}
 	}
-	res := collect(t, s.SubmitAll(w))
+	res := collect(t, submitAll(s, w))
 	s.Wait()
 	for i, r := range res {
 		if r.Err != nil {
@@ -158,7 +185,7 @@ func TestStressMixedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(p, Options{Batch: 3})
-	res := collect(t, s.SubmitAll(w))
+	res := collect(t, submitAll(s, w))
 	s.Wait()
 
 	seenID := make(map[uint64]bool)

@@ -143,7 +143,7 @@ func TestShardConservationUnderStealing(t *testing.T) {
 	}
 	p.SetPlanning(true)
 	s := New(p, Options{Batch: 2, Policy: policy, Shards: 4, Prefetch: true, Predictor: pred})
-	for i, ch := range s.SubmitAll(w) {
+	for i, ch := range submitAll(s, w) {
 		if r := <-ch; r.Err != nil {
 			t.Fatalf("request %d (%s): %v", i, w[i].Name(), r.Err)
 		}

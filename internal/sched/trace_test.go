@@ -34,7 +34,7 @@ func tracedPacedDrive(t *testing.T, tr *trace.Tracer) (Stats, *pool.Pool) {
 	}
 	p := pool32(t, 2)
 	s := New(p, Options{Batch: 1, Trace: tr})
-	s.SubmitWindowed(w, 1, func(r Result) {
+	submitWindowed(s, w, 1, func(r Result) {
 		if r.Err != nil {
 			t.Errorf("request %d (%s): %v", r.ID, r.Task, r.Err)
 		}
